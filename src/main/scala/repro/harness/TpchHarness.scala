@@ -1,7 +1,7 @@
 package repro.harness
 
-import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.Oracle
 import repro.core.ArrangementRegistry
 import repro.tpch._
 
@@ -143,22 +143,7 @@ object TpchHarness {
     */
   def batchElapsed(spark: SparkSession, sf: Double = 0.1): String = {
     val tables = TpchData.cached(spark, sf)
-
-    // Load every relation into one in-process DuckDB once.
-    Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
-    for ((name, df) <- tables.oracleTables) {
-      val cols = df.columns
-      conn.createStatement.execute(
-        s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})")
-      val ps = conn.prepareStatement(
-        s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})")
-      df.collect().foreach { r =>
-        cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-        ps.addBatch()
-      }
-      ps.executeBatch(); ps.close()
-    }
+    val conn   = Oracle.load(tables.byName.toSeq: _*)
 
     val paper = Map( // Fig. 13: (SparkSQL, HyPer, DD) elapsed ms, single thread
       "q01" -> (18219, 603, 7789), "q02" -> (23741, 59, 2426), "q03" -> (47816, 1126, 5948),

@@ -22,8 +22,6 @@ final case class TpchTables(
     "part" -> part, "supplier" -> supplier, "partsupp" -> partsupp,
     "nation" -> nation, "region" -> region,
   )
-
-  def oracleTables: Seq[(String, DataFrame)] = byName.toSeq
 }
 
 object TpchData {

@@ -24,12 +24,11 @@ object TpchQueries {
 
   private val revC: Column = cents(col("l_extendedprice") * (lit(1.0) - col("l_discount")))
 
-  private val dRev =
-    "CAST(round(CAST(l_extendedprice AS DOUBLE) * (1 - CAST(l_discount AS DOUBLE)) * 100) AS BIGINT)"
   private def dC(expr: String) = s"CAST(round(($expr) * 100) AS BIGINT)"
-  private val dQty  = dC("CAST(l_quantity AS DOUBLE)")
-  private val dAcct = dC("CAST(c_acctbal AS DOUBLE)")
-  private val dCost = dC("CAST(ps_supplycost AS DOUBLE)")
+  private val dRev  = dC("l_extendedprice * (1 - l_discount)")
+  private val dQty  = dC("l_quantity")
+  private val dAcct = dC("c_acctbal")
+  private val dCost = dC("ps_supplycost")
 
   private def dim(m: Map[String, DataFrame], name: String): DataFrame = m(name)
 
@@ -55,9 +54,9 @@ object TpchQueries {
     duckSql = s"""
       SELECT l_returnflag, l_linestatus,
              SUM($dQty) AS sum_qty_c,
-             SUM(${dC("CAST(l_extendedprice AS DOUBLE)")}) AS sum_base_c,
+             SUM(${dC("l_extendedprice")}) AS sum_base_c,
              SUM($dRev) AS sum_disc_c,
-             SUM(${dC("CAST(l_extendedprice AS DOUBLE) * (1 - CAST(l_discount AS DOUBLE)) * (1 + CAST(l_tax AS DOUBLE))")}) AS sum_charge_c,
+             SUM(${dC("l_extendedprice * (1 - l_discount) * (1 + l_tax)")}) AS sum_charge_c,
              COUNT(*) AS count_order
       FROM lineitem WHERE l_shipdate <= '1998-09-02'
       GROUP BY l_returnflag, l_linestatus""",
@@ -81,7 +80,7 @@ object TpchQueries {
       FROM part, partsupp, supplier, nation, region
       WHERE p_partkey = ps_partkey AND ps_suppkey = s_suppkey
         AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
-        AND r_name = 'EUROPE' AND CAST(p_size AS INT) < 15
+        AND r_name = 'EUROPE' AND p_size < 15
       GROUP BY p_partkey""",
   )
 
@@ -171,11 +170,11 @@ object TpchQueries {
     aggs = Seq("revenue6_c" -> "sum"),
     finalizeDf = (s, _) => s,
     duckSql = s"""
-      SELECT SUM(${dC("CAST(l_extendedprice AS DOUBLE) * CAST(l_discount AS DOUBLE)")}) AS revenue6_c
+      SELECT SUM(${dC("l_extendedprice * l_discount")}) AS revenue6_c
       FROM lineitem
       WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01'
-        AND CAST(l_discount AS DOUBLE) BETWEEN 0.05 AND 0.07
-        AND CAST(l_quantity AS DOUBLE) < 24""",
+        AND l_discount BETWEEN 0.05 AND 0.07
+        AND l_quantity < 24""",
   )
 
   // ------------------------------------------------------------------- Q7
@@ -201,7 +200,7 @@ object TpchQueries {
     finalizeDf = (s, _) => s,
     duckSql = s"""
       SELECT n1.n_name AS supp_nation, n2.n_name AS cust_nation,
-             CAST(substr(l_shipdate, 1, 4) AS INT) AS l_year,
+             year(l_shipdate) AS l_year,
              SUM($dRev) AS volume_c
       FROM lineitem, supplier, orders, customer, nation n1, nation n2
       WHERE l_suppkey = s_suppkey AND l_orderkey = o_orderkey
@@ -237,7 +236,7 @@ object TpchQueries {
     aggs = Seq("total_c" -> "sum", "brazil_c" -> "sum"),
     finalizeDf = (s, _) => s,
     duckSql = s"""
-      SELECT CAST(substr(o_orderdate, 1, 4) AS INT) AS o_year,
+      SELECT year(o_orderdate) AS o_year,
              SUM($dRev) AS total_c,
              SUM(CASE WHEN n1.n_name = 'BRAZIL' THEN $dRev ELSE 0 END) AS brazil_c
       FROM lineitem, part, supplier, orders, customer, nation n1, nation n2, region
@@ -267,8 +266,8 @@ object TpchQueries {
     aggs = Seq("amount_c" -> "sum"),
     finalizeDf = (s, _) => s,
     duckSql = s"""
-      SELECT n_name AS nation, CAST(substr(o_orderdate, 1, 4) AS INT) AS o_year,
-             SUM($dRev - ${dC("CAST(ps_supplycost AS DOUBLE) * CAST(l_quantity AS DOUBLE)")}) AS amount_c
+      SELECT n_name AS nation, year(o_orderdate) AS o_year,
+             SUM($dRev - ${dC("ps_supplycost * l_quantity")}) AS amount_c
       FROM lineitem, part, supplier, partsupp, orders, nation
       WHERE l_partkey = p_partkey AND l_suppkey = s_suppkey
         AND ps_partkey = l_partkey AND ps_suppkey = l_suppkey
@@ -318,12 +317,12 @@ object TpchQueries {
     },
     duckSql = s"""
       SELECT ps_partkey, SUM(v) AS value_c
-      FROM (SELECT ps_partkey, $dCost * CAST(ps_availqty AS BIGINT) AS v
+      FROM (SELECT ps_partkey, $dCost * ps_availqty AS v
             FROM partsupp, supplier, nation
             WHERE ps_suppkey = s_suppkey AND s_nationkey = n_nationkey
               AND n_name = 'GERMANY') AS t
       GROUP BY ps_partkey
-      HAVING SUM(v) * 10000 > (SELECT SUM($dCost * CAST(ps_availqty AS BIGINT))
+      HAVING SUM(v) * 10000 > (SELECT SUM($dCost * ps_availqty)
                                FROM partsupp, supplier, nation
                                WHERE ps_suppkey = s_suppkey AND s_nationkey = n_nationkey
                                  AND n_name = 'GERMANY')""",
@@ -430,7 +429,7 @@ object TpchQueries {
       SELECT p_type, p_size, COUNT(DISTINCT ps_suppkey) AS supplier_cnt
       FROM partsupp, part
       WHERE ps_partkey = p_partkey AND p_type <> 'STANDARD'
-        AND CAST(p_size AS INT) IN (1, 4, 9, 14, 19, 23, 36, 45)
+        AND p_size IN (1, 4, 9, 14, 19, 23, 36, 45)
       GROUP BY p_type, p_size""",
   )
 
@@ -446,10 +445,10 @@ object TpchQueries {
     aggs = Seq("total17_c" -> "sum"),
     finalizeDf = (s, _) => s,
     duckSql = s"""
-      SELECT SUM(${dC("CAST(l_extendedprice AS DOUBLE)")}) AS total17_c
+      SELECT SUM(${dC("l_extendedprice")}) AS total17_c
       FROM lineitem, part
       WHERE l_partkey = p_partkey AND p_type = 'SMALL'
-        AND CAST(l_quantity AS DOUBLE) < 0.2 * CAST(p_size AS INT)""",
+        AND l_quantity < 0.2 * p_size""",
   )
 
   // ------------------------------------------------------------------ Q18
@@ -487,9 +486,9 @@ object TpchQueries {
       SELECT SUM($dRev) AS revenue19_c
       FROM lineitem, part
       WHERE l_partkey = p_partkey AND l_shipmode IN ('AIR','RAIL') AND (
-           (p_type = 'PROMO'  AND CAST(l_quantity AS DOUBLE) BETWEEN 1  AND 11 AND CAST(p_size AS INT) BETWEEN 1 AND 5)
-        OR (p_type = 'MEDIUM' AND CAST(l_quantity AS DOUBLE) BETWEEN 10 AND 20 AND CAST(p_size AS INT) BETWEEN 1 AND 10)
-        OR (p_type = 'LARGE'  AND CAST(l_quantity AS DOUBLE) BETWEEN 20 AND 30 AND CAST(p_size AS INT) BETWEEN 1 AND 15))""",
+           (p_type = 'PROMO'  AND l_quantity BETWEEN 1  AND 11 AND p_size BETWEEN 1 AND 5)
+        OR (p_type = 'MEDIUM' AND l_quantity BETWEEN 10 AND 20 AND p_size BETWEEN 1 AND 10)
+        OR (p_type = 'LARGE'  AND l_quantity BETWEEN 20 AND 30 AND p_size BETWEEN 1 AND 15))""",
   )
 
   // ------------------------------------------------------------------ Q20
@@ -521,7 +520,7 @@ object TpchQueries {
         AND ps_partkey = p_partkey AND p_type = 'PROMO'
         AND ps_suppkey = s_suppkey AND s_nationkey = n_nationkey
         AND n_name = 'CANADA'
-        AND CAST(ps_availqty AS BIGINT) * 200 > w.qty_c""",
+        AND ps_availqty * 200 > w.qty_c""",
   )
 
   // ------------------------------------------------------------------ Q21
@@ -568,15 +567,15 @@ object TpchQueries {
         .agg(count(lit(1)) as "numcust", sum(col("acct_c")) as "totacct_c")
     },
     duckSql = {
-      val inList  = q22Nations.map(n => s"'$n'").mkString(", ")
+      val inList  = q22Nations.mkString(", ")
       s"""
       SELECT c_nationkey, COUNT(*) AS numcust, SUM($dAcct) AS totacct_c
       FROM customer
       WHERE c_nationkey IN ($inList)
         AND $dAcct * (SELECT COUNT(*) FROM customer
-                      WHERE CAST(c_acctbal AS DOUBLE) > 0 AND c_nationkey IN ($inList))
+                      WHERE c_acctbal > 0 AND c_nationkey IN ($inList))
             > (SELECT SUM($dAcct) FROM customer
-               WHERE CAST(c_acctbal AS DOUBLE) > 0 AND c_nationkey IN ($inList))
+               WHERE c_acctbal > 0 AND c_nationkey IN ($inList))
         AND NOT EXISTS (SELECT 1 FROM orders WHERE o_custkey = c_custkey)
       GROUP BY c_nationkey"""
     },
