@@ -25,8 +25,10 @@ trait ArrangedView[K, V] {
 
   /** Full accumulated collection at the engine's current epoch. */
   def snapshot(): IndexedSeq[(K, V, Long)] = {
-    val now = engine.epoch
-    (0 until engine.workers).flatMap(s => shardSnapshot(s, now))
+    val now   = engine.epoch
+    val parts = new Array[IndexedSeq[(K, V, Long)]](engine.workers)
+    engine.parallel(engine.workers)(s => parts(s) = shardSnapshot(s, now))
+    parts.iterator.flatten.toVector
   }
 
   private[dd] def shardSnapshot(s: Int, asOf: Long): IndexedSeq[(K, V, Long)]
@@ -100,7 +102,7 @@ trait ArrangedView[K, V] {
     df.register(new Op {
       def advance(epoch: Long): Unit = {
         engine.parallel(engine.workers) { s =>
-          val rows = Vector.newBuilder[(K, O, Long, Long)]
+          val rows = new BatchBuilder[K, O, Long](in.currentShard(s).length)
           foreachKeyRun(in.currentShard(s)) { (k, _) =>
             val input  = in.accumulate(s, k, epoch)
             val target = mutable.HashMap.empty[O, Long]
@@ -111,15 +113,11 @@ trait ArrangedView[K, V] {
             out.spines(s).accumulate(k, epoch - 1L).foreach { case (o, d) =>
               target.updateWith(o)(p => Some(p.getOrElse(0L) - d))
             }
-            target.toIndexedSeq.sortBy(_._1).foreach { case (o, d) =>
-              if (d != 0L) rows += ((k, o, epoch, d))
-            }
+            target.toIndexedSeq.sortBy(_._1).foreach { case (o, d) => rows.group(k, o); rows.push(epoch, d) }
           }
-          val batch = Batch.fromUpdates(Frontier(epoch), Frontier(epoch + 1L), rows.result())(ordK, ordO, Lattice.LongLattice)
-          out.spines(s).insert(batch)
-          out.current(s) = batch.updates.map { case (k, o, _, d) => (k, o, d) }
+          out.mint(s, rows.result(Frontier(epoch), Frontier(epoch + 1L)))
         }
-        out.changes.delta = out.current.toIndexedSeq.flatten.map { case (k, o, d) => ((k, o), d) }
+        out.publish()
       }
     })
     out
@@ -177,6 +175,16 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
 
   private[dd] def currentShard(s: Int): IndexedSeq[(K, V, Long)] = current(s)
 
+  /** Insert shard `s`'s batch minted this epoch; it becomes the shard's delta. */
+  private[dd] def mint(s: Int, batch: Batch[K, V, Long]): Unit = {
+    spines(s).insert(batch)
+    current(s) = batch.deltaRows
+  }
+
+  /** Publish this epoch's minted batches, all shards, on [[changes]]. */
+  private[dd] def publish(): Unit =
+    changes.delta = current.iterator.flatMap(_.iterator.map { case (k, v, d) => ((k, v), d) }).toVector
+
   private[dd] def accumulate(s: Int, k: K, asOf: Long): IndexedSeq[(V, Long)] =
     spines(s).accumulate(k, asOf)
 
@@ -201,16 +209,15 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
     df2.register(new Op {
       def advance(epoch: Long): Unit = {
         engine.parallel(engine.workers) { s =>
-          val rows: IndexedSeq[(K, V, Long, Long)] =
-            if (first) src.shardSnapshot(s, epoch).map { case (k, v, d) => (k, v, epoch, d) }
-            else src.currentShard(s).map { case (k, v, d) => (k, v, epoch, d) }
-          // Full sort + consolidation: the private re-indexing the paper's
-          // unshared baseline pays on install and on every update.
-          val batch = Batch.fromUpdates(Frontier(epoch), Frontier(epoch + 1L), rows)
-          dst.spines(s).insert(batch)
-          dst.current(s) = batch.updates.map { case (k, v, _, d) => (k, v, d) }
+          // The private re-indexing the paper's unshared baseline pays: the
+          // whole collection on install, every update after. The source's
+          // rows arrive sorted and consolidated, so they append in order.
+          val rows  = if (first) src.shardSnapshot(s, epoch) else src.currentShard(s)
+          val batch = new BatchBuilder[K, V, Long](rows.length)
+          rows.foreach { case (k, v, d) => batch.group(k, v); batch.push(epoch, d) }
+          dst.mint(s, batch.result(Frontier(epoch), Frontier(epoch + 1L)))
         }
-        dst.changes.delta = dst.current.toIndexedSeq.flatten.map { case (k, v, d) => ((k, v), d) }
+        dst.publish()
         first = false
       }
     })
@@ -273,16 +280,21 @@ object FeedbackLoop {
   ): Int = {
     var pending: Seq[(D, Long)] = seed
     var iters = 0
+    val shards = new Array[Seq[(D, Long)]](engine.workers)
     while (pending.nonEmpty && iters < maxIters) {
       input.send(pending)
       engine.step()
-      val acc = mutable.HashMap.empty[D, Long]
-      output.currentDelta.foreach { case (d, diff) =>
-        acc.updateWith(d)(p => Some(p.getOrElse(0L) + diff))
+      // Consolidate the loop output per shard of its hash, in parallel.
+      engine.exchange(output.currentDelta)(identity)(_._1.hashCode) { (s, updates) =>
+        val acc = mutable.HashMap.empty[D, Long]
+        updates.foreach { case (d, diff) => acc.updateWith(d)(p => Some(p.getOrElse(0L) + diff)) }
+        shards(s) = acc.iterator.filter(_._2 != 0L).toVector
       }
-      pending = acc.iterator.filter(_._2 != 0L).toSeq
+      pending = shards.iterator.flatten.toVector
       iters += 1
     }
+    if (pending.nonEmpty)
+      throw new IllegalStateException(s"FeedbackLoop: no fixpoint after $maxIters iterations; ${pending.size} updates still pending")
     iters
   }
 }

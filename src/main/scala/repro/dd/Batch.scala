@@ -1,5 +1,8 @@
 package repro.dd
 
+import java.util.Arrays
+import scala.collection.immutable.ArraySeq
+
 /** An immutable, indexed batch of update triples (§4.1–4.2).
   *
   * Updates are `(key, value, time, diff)` rows sorted by `(key, value, time)`
@@ -8,58 +11,99 @@ package repro.dd
   * the half-open time range `[lower, upper)`: every update time is beyond
   * `lower` and not beyond `upper`.
   *
-  * Random access is by binary search on the key column — the index that
-  * arrangement-aware operators navigate.
+  * The rows are stored column-wise, in the layout of differential dataflow's
+  * `OrdValBatch`: the distinct keys in order; for key `i`, its distinct values
+  * at `vals(keyOffs(i) until keyOffs(i + 1))`; for value `j`, its times and
+  * diffs at `valOffs(j) until valOffs(j + 1)`. Random access is by binary
+  * search on the key column — the index that arrangement-aware operators
+  * navigate.
   */
-final class Batch[K, V, T] private (
+final class Batch[K, V, T] private[dd] (
     val lower: Frontier[T],
     val upper: Frontier[T],
-    val updates: IndexedSeq[(K, V, T, Long)],
+    keys: Array[AnyRef],
+    private[dd] val keyOffs: Array[Int],
+    vals: Array[AnyRef],
+    private[dd] val valOffs: Array[Int],
+    times: Array[AnyRef],
+    private[dd] val diffs: Array[Long],
 )(implicit val ordK: Ordering[K], val ordV: Ordering[V], val lattice: Lattice[T]) {
 
-  def size: Int        = updates.length
-  def isEmpty: Boolean = updates.isEmpty
+  /** Number of `(key, value, time)` rows. */
+  def size: Int        = diffs.length
+  def isEmpty: Boolean = diffs.length == 0
 
-  /** First row index with key >= `k`. */
+  private[dd] def keyCount: Int   = keys.length
+  private[dd] def valueCount: Int = vals.length
+
+  private[dd] def key(i: Int): K   = keys(i).asInstanceOf[K]
+  private[dd] def value(j: Int): V = vals(j).asInstanceOf[V]
+  private[dd] def time(r: Int): T  = times(r).asInstanceOf[T]
+
+  /** First key index with key >= `k`. */
   private def lowerBound(k: K): Int = {
-    var lo = 0; var hi = updates.length
+    var lo = 0; var hi = keys.length
     while (lo < hi) {
       val mid = (lo + hi) >>> 1
-      if (ordK.lt(updates(mid)._1, k)) lo = mid + 1 else hi = mid
+      if (ordK.lt(key(mid), k)) lo = mid + 1 else hi = mid
     }
     lo
   }
 
-  /** First row index with key > `k`. */
-  private def upperBound(k: K): Int = {
-    var lo = 0; var hi = updates.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (ordK.lteq(updates(mid)._1, k)) lo = mid + 1 else hi = mid
-    }
-    lo
+  /** Index of key `k` in the key column, or -1 if absent. */
+  private[dd] def find(k: K): Int = {
+    val i = lowerBound(k)
+    if (i < keys.length && ordK.equiv(key(i), k)) i else -1
   }
 
   /** The `[from, until)` row range holding key `k` (empty if absent). */
-  def keyRange(k: K): (Int, Int) = (lowerBound(k), upperBound(k))
+  def keyRange(k: K): (Int, Int) = {
+    val i    = lowerBound(k)
+    val from = valOffs(keyOffs(i))
+    if (i < keys.length && ordK.equiv(key(i), k)) (from, valOffs(keyOffs(i + 1))) else (from, from)
+  }
 
   /** All updates for key `k`, as `(value, time, diff)`. */
   def history(k: K): IndexedSeq[(V, T, Long)] = {
-    val (from, until) = keyRange(k)
-    (from until until).map { i => val u = updates(i); (u._2, u._3, u._4) }
+    val i = find(k)
+    if (i < 0) Vector.empty
+    else for (j <- keyOffs(i) until keyOffs(i + 1); r <- valOffs(j) until valOffs(j + 1))
+      yield (value(j), time(r), diffs(r))
   }
 
   /** Iterate `(key, fromRow, untilRow)` over the distinct keys in order. */
   def foreachKeySlice(f: (K, Int, Int) => Unit): Unit = {
     var i = 0
-    while (i < updates.length) {
-      val k = updates(i)._1
-      var j = i + 1
-      while (j < updates.length && ordK.equiv(updates(j)._1, k)) j += 1
-      f(k, i, j)
-      i = j
-    }
+    while (i < keys.length) { f(key(i), valOffs(keyOffs(i)), valOffs(keyOffs(i + 1))); i += 1 }
   }
+
+  /** The `(key, value, diff)` rows, each value's diffs summed over its times:
+    * for a batch minted at one time, the epoch's delta it carries.
+    */
+  private[dd] def deltaRows: IndexedSeq[(K, V, Long)] = {
+    val out = new Array[(K, V, Long)](vals.length)
+    var i = 0
+    while (i < keys.length) {
+      val k = key(i)
+      var j = keyOffs(i)
+      while (j < keyOffs(i + 1)) {
+        var d = 0L
+        var r = valOffs(j)
+        while (r < valOffs(j + 1)) { d += diffs(r); r += 1 }
+        out(j) = (k, value(j), d)
+        j += 1
+      }
+      i += 1
+    }
+    ArraySeq.unsafeWrapArray(out)
+  }
+
+  /** The rows as `(key, value, time, diff)` tuples, built on demand: a view
+    * for tests and inspection; operators read the columns.
+    */
+  def updates: IndexedSeq[(K, V, T, Long)] =
+    for (i <- 0 until keys.length; j <- keyOffs(i) until keyOffs(i + 1); r <- valOffs(j) until valOffs(j + 1))
+      yield (key(i), value(j), time(r), diffs(r))
 }
 
 object Batch {
@@ -70,37 +114,98 @@ object Batch {
       upper: Frontier[T],
       raw: Iterable[(K, V, T, Long)],
   )(implicit ordK: Ordering[K], ordV: Ordering[V], lat: Lattice[T]): Batch[K, V, T] = {
-    implicit val rowOrd: Ordering[(K, V, T)] = Ordering.Tuple3(ordK, ordV, lat.totalOrder)
-    val sorted = raw.toIndexedSeq.sortBy(u => (u._1, u._2, u._3))
-    val out    = Vector.newBuilder[(K, V, T, Long)]
-    var i = 0
-    while (i < sorted.length) {
-      val (k, v, t, _) = sorted(i)
-      var d = 0L
-      var j = i
-      while (j < sorted.length && {
-               val u = sorted(j)
-               ordK.equiv(u._1, k) && ordV.equiv(u._2, v) && u._3 == t
-             }) { d += sorted(j)._4; j += 1 }
-      if (d != 0L) out += ((k, v, t, d))
-      i = j
+    type Row = (K, V, T, Long)
+    val rows = new Array[AnyRef](raw.size)
+    raw.copyToArray(rows)
+    val ordT = lat.totalOrder
+    Arrays.sort(rows, (x: AnyRef, y: AnyRef) => {
+      val a = x.asInstanceOf[Row]; val b = y.asInstanceOf[Row]
+      val ck = ordK.compare(a._1, b._1)
+      if (ck != 0) ck
+      else {
+        val cv = ordV.compare(a._2, b._2)
+        if (cv != 0) cv else ordT.compare(a._3, b._3)
+      }
+    })
+    // One pass over the sorted rows, summing diffs per (key, value, time).
+    val out       = new BatchBuilder[K, V, T](rows.length)
+    var prev: Row = null
+    var acc       = 0L
+    var i         = 0
+    while (i < rows.length) {
+      val r = rows(i).asInstanceOf[Row]
+      if (prev == null) { out.group(r._1, r._2); acc = r._4 }
+      else if (!ordK.equiv(r._1, prev._1) || !ordV.equiv(r._2, prev._2)) {
+        out.push(prev._3, acc); out.group(r._1, r._2); acc = r._4
+      } else if (!ordT.equiv(r._3, prev._3)) { out.push(prev._3, acc); acc = r._4 }
+      else acc += r._4
+      prev = r
+      i += 1
     }
-    new Batch(lower, upper, out.result())
+    if (prev != null) out.push(prev._3, acc)
+    out.result(lower, upper)
+  }
+}
+
+/** Appends rows already in `(key, value, time)` order into the columns of a
+  * [[Batch]]: the spine's merges, `reduce` and `copyInto` produce rows in
+  * order and build through this directly, without a sort.
+  *
+  * Call [[group]] for each `(key, value)` in strictly increasing order, then
+  * [[push]] its times in strictly increasing order. Zero diffs are dropped,
+  * and a group that receives no nonzero diff leaves no trace.
+  *
+  * @param capacity expected row count; the columns grow past it if needed.
+  */
+private[dd] final class BatchBuilder[K, V, T](capacity: Int)(implicit
+    ordK: Ordering[K],
+    ordV: Ordering[V],
+    lat: Lattice[T],
+) {
+  private var keys     = new Array[AnyRef](capacity)
+  private var keyOffs  = new Array[Int](capacity + 1)
+  private var nk       = 0
+  private var vals     = new Array[AnyRef](capacity)
+  private var valOffs  = new Array[Int](capacity + 1)
+  private var nv       = 0
+  private var times    = new Array[AnyRef](capacity)
+  private var diffs    = new Array[Long](capacity)
+  private var n        = 0
+  private var groupKey: K = _
+  private var groupVal: V = _
+  private var open     = false
+
+  /** Start the group of `(k, v)`; it is stored with its first nonzero diff. */
+  def group(k: K, v: V): Unit = { groupKey = k; groupVal = v; open = true }
+
+  def push(t: T, d: Long): Unit = if (d != 0L) {
+    if (open) {
+      if (nk == 0 || !ordK.equiv(keys(nk - 1).asInstanceOf[K], groupKey)) {
+        if (nk == keys.length) { keys = Arrays.copyOf(keys, grown(nk)); keyOffs = Arrays.copyOf(keyOffs, grown(nk) + 1) }
+        keys(nk) = groupKey.asInstanceOf[AnyRef]; keyOffs(nk) = nv; nk += 1
+      }
+      if (nv == vals.length) { vals = Arrays.copyOf(vals, grown(nv)); valOffs = Arrays.copyOf(valOffs, grown(nv) + 1) }
+      vals(nv) = groupVal.asInstanceOf[AnyRef]; valOffs(nv) = n; nv += 1
+      open = false
+    }
+    if (n == times.length) { times = Arrays.copyOf(times, grown(n)); diffs = Arrays.copyOf(diffs, grown(n)) }
+    times(n) = t.asInstanceOf[AnyRef]; diffs(n) = d; n += 1
   }
 
-  /** Trusted constructor for already-sorted, already-consolidated rows —
-    * used by the spine's merge path, which produces rows in order.
-    */
-  private[dd] def fromSortedUnchecked[K, V, T](
-      lower: Frontier[T],
-      upper: Frontier[T],
-      updates: IndexedSeq[(K, V, T, Long)],
-  )(implicit ordK: Ordering[K], ordV: Ordering[V], lat: Lattice[T]): Batch[K, V, T] =
-    new Batch(lower, upper, updates)
+  /** The batch of everything pushed, with exactly sized columns. */
+  def result(lower: Frontier[T], upper: Frontier[T]): Batch[K, V, T] = {
+    keyOffs(nk) = nv; valOffs(nv) = n
+    new Batch(
+      lower, upper,
+      trim(keys, nk), trim(keyOffs, nk + 1),
+      trim(vals, nv), trim(valOffs, nv + 1),
+      trim(times, n), trim(diffs, n),
+    )
+  }
 
-  def empty[K, V, T](lower: Frontier[T], upper: Frontier[T])(implicit
-      ordK: Ordering[K],
-      ordV: Ordering[V],
-      lat: Lattice[T],
-  ): Batch[K, V, T] = new Batch(lower, upper, Vector.empty)
+  private def grown(len: Int): Int = math.max(8, 2 * len)
+
+  private def trim(a: Array[AnyRef], len: Int): Array[AnyRef] = if (a.length == len) a else Arrays.copyOf(a, len)
+  private def trim(a: Array[Int], len: Int): Array[Int]       = if (a.length == len) a else Arrays.copyOf(a, len)
+  private def trim(a: Array[Long], len: Int): Array[Long]     = if (a.length == len) a else Arrays.copyOf(a, len)
 }

@@ -2,7 +2,6 @@ package repro.dd
 
 import java.util.concurrent.{Callable, ExecutorService, Executors}
 import scala.collection.mutable
-import scala.jdk.CollectionConverters._
 
 /** Epoch-synchronous differential dataflow engine with shared arrangements.
   *
@@ -29,7 +28,7 @@ final class Engine(
 ) extends AutoCloseable {
 
   private[dd] val pool: ExecutorService =
-    if (workers > 1) Executors.newFixedThreadPool(workers) else null
+    if (workers > 1) Executors.newFixedThreadPool(workers - 1) else null
 
   private[dd] val dataflows = mutable.ArrayBuffer.empty[Dataflow]
 
@@ -59,7 +58,8 @@ final class Engine(
 
   private[dd] def retireDataflow(df: Dataflow): Unit = { dataflows -= df }
 
-  /** Run `f(0 until n)` across the worker pool (inline when single-worker).
+  /** Run `f(0 until n)` across the worker pool (inline when single-worker):
+    * the caller runs `f(0)` while the pool runs the rest, then waits for them.
     * Shards are disjoint, so no synchronization is needed — co-scheduling
     * without locks, as in §3.5.
     */
@@ -67,13 +67,36 @@ final class Engine(
     if (pool == null || n <= 1) {
       var i = 0; while (i < n) { f(i); i += 1 }
     } else {
-      val tasks: java.util.List[Callable[Unit]] =
-        (0 until n).map(i => new Callable[Unit] { def call(): Unit = f(i) }: Callable[Unit]).asJava
-      pool.invokeAll(tasks).asScala.foreach(_.get()) // propagate exceptions
+      val rest = (1 until n).map(i => pool.submit(new Callable[Unit] { def call(): Unit = f(i) }))
+      try f(0) finally rest.foreach(_.get()) // propagate exceptions
     }
 
   private[dd] def shardOf(hash: Int): Int =
     (scala.util.hashing.byteswap32(hash) & 0x7fffffff) % workers
+
+  /** The exchange: route each record of `data` to the worker shard of its
+    * `hash`, then run `f(s, records of shard s)` for every shard. Workers
+    * first scan disjoint slices of `data` into per-shard buffers, in
+    * parallel; then each shard reads its buffers in slice order, so it
+    * receives its records in input order whatever the worker count, and the
+    * shards run in parallel.
+    */
+  private[dd] def exchange[A, B](data: IndexedSeq[A])(route: A => B)(hash: B => Int)(f: (Int, Iterable[B]) => Unit): Unit = {
+    val n     = data.length
+    val parts = new Array[Array[mutable.ArrayBuffer[B]]](workers)
+    parallel(workers) { w =>
+      val bufs  = Array.fill(workers)(mutable.ArrayBuffer.empty[B])
+      var i     = (n.toLong * w / workers).toInt
+      val until = (n.toLong * (w + 1) / workers).toInt
+      while (i < until) { val b = route(data(i)); bufs(shardOf(hash(b))) += b; i += 1 }
+      parts(w) = bufs
+    }
+    parallel(workers) { s =>
+      val all = new mutable.ArrayBuffer[B](parts.iterator.map(_(s).length).sum)
+      parts.foreach(all ++= _(s))
+      f(s, all)
+    }
+  }
 
   override def close(): Unit = if (pool != null) pool.shutdownNow()
 }
@@ -168,17 +191,10 @@ final class Stream[D] private[dd] (val dataflow: Dataflow) {
     val eng = dataflow.engine
     dataflow.register(new Op {
       def advance(epoch: Long): Unit = {
-        val parts = Array.fill(eng.workers)(mutable.ArrayBuffer.empty[(K, V, Long, Long)])
-        delta.foreach { case (d, diff) =>
-          val (k, v) = kv(d)
-          parts(eng.shardOf(k.hashCode)) += ((k, v, epoch, diff))
+        eng.exchange(delta) { case (d, diff) => val (k, v) = kv(d); (k, v, epoch, diff) }(_._1.hashCode) { (s, rows) =>
+          arr.mint(s, Batch.fromUpdates(Frontier(epoch), Frontier(epoch + 1L), rows))
         }
-        eng.parallel(eng.workers) { s =>
-          val batch = Batch.fromUpdates(Frontier(epoch), Frontier(epoch + 1L), parts(s))
-          arr.spines(s).insert(batch)
-          arr.current(s) = batch.updates.map { case (k, v, _, d) => (k, v, d) }
-        }
-        arr.changes.delta = arr.current.toIndexedSeq.flatten.map { case (k, v, d) => ((k, v), d) }
+        arr.publish()
       }
     })
     arr

@@ -60,10 +60,15 @@ final case class Frontier[T] private (elements: Vector[T])(implicit val lattice:
   /** `rep_F(t) = ⋀_{f∈F}(t ⋁ f)` — the optimal compaction representative of
     * `t` relative to this frontier (Appendix A). Requires a nonempty frontier.
     */
-  def rep(t: T): T = {
-    require(elements.nonEmpty, "rep_F is undefined for the empty frontier")
-    elements.iterator.map(f => lattice.lub(t, f)).reduceLeft(lattice.glb)
-  }
+  def rep(t: T): T =
+    if (elements.length == 1) {
+      // lub(t, f) without building a new time when t and f are comparable.
+      val f = elements(0)
+      if (lattice.lteq(f, t)) t else if (lattice.lteq(t, f)) f else lattice.lub(t, f)
+    } else {
+      require(elements.nonEmpty, "rep_F is undefined for the empty frontier")
+      elements.iterator.map(f => lattice.lub(t, f)).reduceLeft(lattice.glb)
+    }
 
   /** Times `t1`, `t2` are indistinguishable as of this frontier when they
     * compare identically against every time beyond it (Appendix A).

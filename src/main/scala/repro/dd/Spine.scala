@@ -1,6 +1,8 @@
 package repro.dd
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** A collection trace (§4.1): an append-only list of immutable indexed batches
   * maintained with *amortized* (fuelled) merging so that the trace always
@@ -26,14 +28,16 @@ final class Spine[K, V, T](val fuelPerRecord: Long = 8L)(implicit
     */
   private var layers: Vector[Batch[K, V, T]] = Vector.empty
 
-  /** In-progress merge of `layers(idx)` and `layers(idx + 1)`. */
+  /** In-progress merge of `layers(idx)` and `layers(idx + 1)`: one cursor
+    * per input at a (key index, value index), and the merged output so far.
+    */
   private final class MergeInProgress(val idx: Int) {
     val a: Batch[K, V, T] = layers(idx)
     val b: Batch[K, V, T] = layers(idx + 1)
-    var posA = 0
-    var posB = 0
-    val out  = Vector.newBuilder[(K, V, T, Long)]
-    def done: Boolean = posA >= a.size && posB >= b.size
+    var keyA = 0; var valA = 0
+    var keyB = 0; var valB = 0
+    val out  = new BatchBuilder[K, V, T](a.size + b.size)
+    def done: Boolean = valA >= a.valueCount && valB >= b.valueCount
   }
 
   private var merging: MergeInProgress = null
@@ -53,6 +57,7 @@ final class Spine[K, V, T](val fuelPerRecord: Long = 8L)(implicit
   }
 
   def layerCount: Int  = layers.length
+  private[dd] def batches: IndexedSeq[Batch[K, V, T]] = layers
   def tupleCount: Long = layers.iterator.map(_.size.toLong).sum
 
   /** Append a freshly minted batch and run amortized maintenance. */
@@ -106,101 +111,181 @@ final class Spine[K, V, T](val fuelPerRecord: Long = 8L)(implicit
     }
   }
 
+  /** The (time, diff) history of the (key, value) group under merge; reused
+    * by every step, grown as needed.
+    */
+  private var groupTimes = new Array[AnyRef](16)
+  private var groupDiffs = new Array[Long](16)
+
+  /** Append the times and diffs of `batch`'s value `j` to the group buffer
+    * after its first `n` entries; returns the new length.
+    */
+  private def gather(batch: Batch[K, V, T], j: Int, n: Int): Int = {
+    val from = batch.valOffs(j); val until = batch.valOffs(j + 1)
+    val len  = n + until - from
+    if (len > groupTimes.length) {
+      val cap = math.max(len, 2 * groupTimes.length)
+      groupTimes = java.util.Arrays.copyOf(groupTimes, cap)
+      groupDiffs = java.util.Arrays.copyOf(groupDiffs, cap)
+    }
+    var r = from; var i = n
+    while (r < until) { groupTimes(i) = batch.time(r).asInstanceOf[AnyRef]; groupDiffs(i) = batch.diffs(r); r += 1; i += 1 }
+    len
+  }
+
   /** Advance the in-progress merge by one (key, value) group from whichever
-    * cursor is behind, consuming fuel proportional to rows consumed. Times are
-    * remapped to their compaction representatives and coalesced on the fly.
+    * cursor is behind (both, when they hold the same group), consuming fuel
+    * proportional to rows consumed. Times are remapped to their compaction
+    * representatives and coalesced on the fly.
     */
   private def step(m: MergeInProgress): Unit = {
-    val a = m.a.updates; val b = m.b.updates
-    if (m.posA >= a.length && m.posB >= b.length) return
-    implicit val kvOrd: Ordering[(K, V)] = Ordering.Tuple2(ordK, ordV)
+    val a = m.a; val b = m.b
+    val liveA = m.valA < a.valueCount; val liveB = m.valB < b.valueCount
+    if (!liveA && !liveB) return
+    val c =
+      if (!liveB) -1
+      else if (!liveA) 1
+      else {
+        val ck = ordK.compare(a.key(m.keyA), b.key(m.keyB))
+        if (ck != 0) ck else ordV.compare(a.value(m.valA), b.value(m.valB))
+      }
 
-    def groupEnd(rows: IndexedSeq[(K, V, T, Long)], from: Int): Int = {
-      val kv = (rows(from)._1, rows(from)._2)
-      var j = from + 1
-      while (j < rows.length && kvOrd.equiv((rows(j)._1, rows(j)._2), kv)) j += 1
-      j
+    var n = 0
+    if (c <= 0) {
+      m.out.group(a.key(m.keyA), a.value(m.valA))
+      n = gather(a, m.valA, n)
+      m.valA += 1
+      if (m.valA == a.keyOffs(m.keyA + 1)) m.keyA += 1
+    }
+    if (c >= 0) {
+      m.out.group(b.key(m.keyB), b.value(m.valB))
+      n = gather(b, m.valB, n)
+      m.valB += 1
+      if (m.valB == b.keyOffs(m.keyB + 1)) m.keyB += 1
     }
 
-    val takeA = m.posB >= b.length ||
-      (m.posA < a.length && kvOrd.lteq((a(m.posA)._1, a(m.posA)._2), (b(m.posB)._1, b(m.posB)._2)))
-    val takeB = m.posA >= a.length ||
-      (m.posB < b.length && kvOrd.lteq((b(m.posB)._1, b(m.posB)._2), (a(m.posA)._1, a(m.posA)._2)))
+    // Compact the (time, diff) history of this (key, value) group: remap,
+    // restore time order if the remapping (or the two inputs) broke it, and
+    // coalesce equal times.
+    val ts = groupTimes; val ds = groupDiffs
+    compaction match {
+      case Some(f) if f.elements.nonEmpty =>
+        var i = 0
+        while (i < n) { ts(i) = f.rep(ts(i).asInstanceOf[T]).asInstanceOf[AnyRef]; i += 1 }
+      case _ =>
+    }
+    val ordT = lat.totalOrder
+    var sorted = true
+    var i = 1
+    while (sorted && i < n) { sorted = ordT.lteq(ts(i - 1).asInstanceOf[T], ts(i).asInstanceOf[T]); i += 1 }
+    if (!sorted) {
+      val pairs = Array.tabulate(n)(i => (ts(i).asInstanceOf[T], ds(i)))
+      java.util.Arrays.sort(pairs, Ordering.by[(T, Long), T](_._1)(ordT))
+      i = 0
+      while (i < n) { ts(i) = pairs(i)._1.asInstanceOf[AnyRef]; ds(i) = pairs(i)._2; i += 1 }
+    }
+    i = 0
+    while (i < n) {
+      val t = ts(i).asInstanceOf[T]
+      var d = 0L
+      while (i < n && ordT.equiv(ts(i).asInstanceOf[T], t)) { d += ds(i); i += 1 }
+      m.out.push(t, d)
+    }
 
-    val group = mutable.ArrayBuffer.empty[(T, Long)]
-    var key: K = null.asInstanceOf[K]
-    var value: V = null.asInstanceOf[V]
-    var consumed = 0
-    if (takeA) {
-      val end = groupEnd(a, m.posA)
-      key = a(m.posA)._1; value = a(m.posA)._2
-      var i = m.posA
-      while (i < end) { group += ((a(i)._3, a(i)._4)); i += 1 }
-      consumed += end - m.posA; m.posA = end
-    }
-    if (takeB) {
-      val end = groupEnd(b, m.posB)
-      key = b(m.posB)._1; value = b(m.posB)._2
-      var i = m.posB
-      while (i < end) { group += ((b(i)._3, b(i)._4)); i += 1 }
-      consumed += end - m.posB; m.posB = end
-    }
-
-    // Compact the (time, diff) history of this (key, value) group.
-    val remapped = compaction match {
-      case Some(f) if f.elements.nonEmpty => group.map { case (t, d) => (f.rep(t), d) }
-      case _                              => group
-    }
-    val byTime = mutable.LinkedHashMap.empty[T, Long]
-    remapped.sortBy(_._1)(lat.totalOrder).foreach { case (t, d) =>
-      byTime.updateWith(t) { prev => Some(prev.getOrElse(0L) + d) }
-    }
-    byTime.foreach { case (t, d) => if (d != 0L) m.out += ((key, value, t, d)) }
-
-    pendingFuel -= math.max(1, consumed)
+    pendingFuel -= math.max(1, n)
   }
 
   private def finishMerge(): Unit = {
     val m      = merging
-    val merged = Batch.fromSortedUnchecked(m.a.lower, m.b.upper, m.out.result())
+    val merged = m.out.result(m.a.lower, m.b.upper)
     layers = layers.patch(m.idx, if (merged.isEmpty) Nil else Seq(merged), 2)
     merging = null
   }
 
   // ---------------------------------------------------------------- reads
 
-  /** All `(value, time, diff)` updates for key `k`, across all layers. */
-  def history(k: K): Seq[(V, T, Long)] =
-    layers.flatMap(_.history(k))
+  /** Reads are correct only at times beyond the compaction frontier (§4.3):
+    * earlier times may already have been advanced to their representatives.
+    */
+  private def requireReadable(asOf: T): Unit =
+    require(compaction.forall(_.beyond(asOf)),
+      s"read at $asOf is not beyond the compaction frontier ${compaction.get.elements.mkString("{", ", ", "}")}")
+
+  /** Net diff of `layer`'s value `j` over its updates with `time ≤ asOf`. */
+  private def sumAt(layer: Batch[K, V, T], j: Int, asOf: T): Long = {
+    var d = 0L
+    var r = layer.valOffs(j)
+    while (r < layer.valOffs(j + 1)) { if (lat.lteq(layer.time(r), asOf)) d += layer.diffs(r); r += 1 }
+    d
+  }
 
   /** The accumulated multiset of values for key `k` at time `asOf`: net diffs
     * over updates with `time ≤ asOf`, zero-entries dropped, sorted by value.
-    * `asOf` must be beyond the compaction frontier for a correct view (§4.3).
+    * `asOf` must be beyond the compaction frontier (§4.3).
     */
   def accumulate(k: K, asOf: T): IndexedSeq[(V, Long)] = {
-    val acc = mutable.HashMap.empty[V, Long]
+    requireReadable(asOf)
+    val out     = mutable.ArrayBuilder.make[(V, Long)]
+    var holders = 0
     layers.foreach { layer =>
-      val (from, until) = layer.keyRange(k)
-      var i = from
-      while (i < until) {
-        val (_, v, t, d) = layer.updates(i)
-        if (lat.lteq(t, asOf)) acc.updateWith(v)(prev => Some(prev.getOrElse(0L) + d))
-        i += 1
+      val i = layer.find(k)
+      if (i >= 0) {
+        holders += 1
+        var j = layer.keyOffs(i)
+        while (j < layer.keyOffs(i + 1)) {
+          val d = sumAt(layer, j, asOf)
+          if (d != 0L) out += ((layer.value(j), d))
+          j += 1
+        }
       }
     }
-    acc.iterator.filter(_._2 != 0L).toIndexedSeq.sortBy(_._1)(ordV)
+    // Each layer yields its values in order; several layers need a merge.
+    if (holders <= 1) ArraySeq.unsafeWrapArray(out.result())
+    else consolidate(out.result(), Ordering.by[(V, Long), V](_._1)(ordV))(_._2, (x, d) => (x._1, d))
   }
 
   /** Full accumulated snapshot at `asOf`, sorted by (key, value). */
   def snapshot(asOf: T): IndexedSeq[(K, V, Long)] = {
-    val acc = mutable.HashMap.empty[(K, V), Long]
+    requireReadable(asOf)
+    val out = mutable.ArrayBuilder.make[(K, V, Long)]
     layers.foreach { layer =>
-      layer.updates.foreach { case (k, v, t, d) =>
-        if (lat.lteq(t, asOf)) acc.updateWith((k, v))(prev => Some(prev.getOrElse(0L) + d))
+      var i = 0
+      while (i < layer.keyCount) {
+        val k = layer.key(i)
+        var j = layer.keyOffs(i)
+        while (j < layer.keyOffs(i + 1)) {
+          val d = sumAt(layer, j, asOf)
+          if (d != 0L) out += ((k, layer.value(j), d))
+          j += 1
+        }
+        i += 1
       }
     }
-    implicit val kvOrd: Ordering[(K, V)] = Ordering.Tuple2(ordK, ordV)
-    acc.iterator.collect { case ((k, v), d) if d != 0L => (k, v, d) }
-      .toIndexedSeq.sortBy(u => (u._1, u._2))
+    if (layers.length <= 1) ArraySeq.unsafeWrapArray(out.result())
+    else {
+      val byKeyValue: Ordering[(K, V, Long)] = (x, y) => {
+        val ck = ordK.compare(x._1, y._1)
+        if (ck != 0) ck else ordV.compare(x._2, y._2)
+      }
+      consolidate(out.result(), byKeyValue)(_._3, (x, d) => (x._1, x._2, d))
+    }
+  }
+
+  /** Sort `xs` by `ord` and sum the diffs of equal entries, dropping zeros.
+    * Reads gather one sorted run per layer, which the (merging) sort exploits.
+    */
+  private def consolidate[A <: AnyRef: ClassTag](xs: Array[A], ord: Ordering[A])(diff: A => Long, withDiff: (A, Long) => A): IndexedSeq[A] = {
+    java.util.Arrays.sort(xs, ord)
+    val out = mutable.ArrayBuilder.make[A]
+    var i = 0
+    while (i < xs.length) {
+      val x = xs(i)
+      var d = 0L
+      var j = i
+      while (j < xs.length && ord.equiv(xs(j), x)) { d += diff(xs(j)); j += 1 }
+      if (d != 0L) out += (if (j == i + 1) x else withDiff(x, d))
+      i = j
+    }
+    ArraySeq.unsafeWrapArray(out.result())
   }
 }

@@ -123,4 +123,89 @@ class BatchSpineSpec extends AnyFunSuite {
     for (k <- 0L until 20L)
       assert(eager.accumulate(k, 120L) == lazee.accumulate(k, 120L))
   }
+
+  test("reads before the compaction frontier fail loudly") {
+    val spine = new Spine[Long, String, Long]()
+    spine.insert(Batch.fromUpdates(Frontier(1L), Frontier(2L), Seq((1L, "a", 1L, 1L))))
+    spine.insert(Batch.fromUpdates(Frontier(2L), Frontier(3L), Seq((1L, "b", 2L, 1L))))
+    spine.advanceCompaction(Frontier(2L))
+    assert(spine.accumulate(1L, 2L) == Vector(("a", 1L), ("b", 1L)))
+    assert(spine.snapshot(3L) == Vector((1L, "a", 1L), (1L, "b", 1L)))
+    intercept[IllegalArgumentException](spine.accumulate(1L, 1L))
+    intercept[IllegalArgumentException](spine.snapshot(1L))
+  }
+
+  /** The columnar invariants of one batch: keys strictly increasing, values
+    * strictly increasing within a key, times strictly increasing within a
+    * (key, value), no empty key or value, and no zero diff.
+    */
+  private def assertLayout[K, V, T](b: Batch[K, V, T], clue: String): Unit = {
+    assert(b.keyOffs.length == b.keyCount + 1 && b.keyOffs(0) == 0 && b.keyOffs(b.keyCount) == b.valueCount, clue)
+    assert(b.valOffs.length == b.valueCount + 1 && b.valOffs(0) == 0 && b.valOffs(b.valueCount) == b.size, clue)
+    for (i <- 1 until b.keyCount) assert(b.ordK.lt(b.key(i - 1), b.key(i)), s"$clue: keys at $i")
+    for (i <- 0 until b.keyCount) {
+      assert(b.keyOffs(i) < b.keyOffs(i + 1), s"$clue: key $i has no value")
+      for (j <- b.keyOffs(i) + 1 until b.keyOffs(i + 1))
+        assert(b.ordV.lt(b.value(j - 1), b.value(j)), s"$clue: values at $j")
+    }
+    for (j <- 0 until b.valueCount) {
+      assert(b.valOffs(j) < b.valOffs(j + 1), s"$clue: value $j has no time")
+      for (r <- b.valOffs(j) + 1 until b.valOffs(j + 1))
+        assert(b.lattice.totalOrder.lt(b.time(r - 1), b.time(r)), s"$clue: times at $r")
+    }
+    assert(b.diffs.forall(_ != 0L), s"$clue: zero diff")
+  }
+
+  /** Random epochs of updates into a compacting spine, checking the layout of
+    * every minted and merged batch, and reads against naive accumulation at
+    * every `reads(epoch)` time (all beyond that epoch's frontier). Epoch `e`'s
+    * batch spans `[start(e), start(e + 1))` and holds times `time(rng, e)`.
+    */
+  private def checkColumnar[T](fuel: Long)(
+      start: Long => T,
+      time: (Random, Long) => T,
+      frontier: Long => Frontier[T],
+      reads: Long => Seq[T],
+  )(implicit lat: Lattice[T]): Unit = {
+    val rng   = new Random(41 + fuel)
+    val spine = new Spine[Long, String, T](fuel)
+    val all   = mutable.ArrayBuffer.empty[(Long, String, T, Long)]
+    for (epoch <- 1L to 60L) {
+      val ups = Seq.fill(rng.nextInt(40))(
+        (rng.nextInt(15).toLong, "v" + rng.nextInt(4), time(rng, epoch), rng.nextInt(5).toLong - 2L))
+      all ++= ups
+      val batch = Batch.fromUpdates(Frontier(start(epoch)), Frontier(start(epoch + 1L)), ups)
+      assertLayout(batch, s"fuel=$fuel minted at $epoch")
+      spine.insert(batch)
+      spine.advanceCompaction(frontier(epoch))
+      spine.batches.foreach(assertLayout(_, s"fuel=$fuel spine after $epoch"))
+      for (asOf <- reads(epoch)) {
+        val naive = mutable.HashMap.empty[(Long, String), Long]
+        all.foreach { case (k, v, t, d) => if (lat.lteq(t, asOf)) naive.updateWith((k, v))(p => Some(p.getOrElse(0L) + d)) }
+        val expected = naive.iterator.filter(_._2 != 0L).map { case ((k, v), d) => (k, v, d) }.toVector.sortBy(u => (u._1, u._2))
+        assert(spine.snapshot(asOf) == expected, s"fuel=$fuel epoch=$epoch asOf=$asOf")
+        for (k <- 0L until 15L)
+          assert(spine.accumulate(k, asOf) == expected.collect { case (`k`, v, d) => (v, d) },
+            s"fuel=$fuel epoch=$epoch asOf=$asOf key=$k")
+      }
+    }
+    spine.compactAll()
+    spine.batches.foreach(assertLayout(_, s"fuel=$fuel compacted"))
+  }
+
+  test("columnar layout and reads hold through fuelled merges and compaction (Long times)") {
+    for (fuel <- Seq(1L, 8L, 1000000L))
+      checkColumnar[Long](fuel)(e => e, (_, e) => e, e => Frontier(math.max(0L, e - 3L)), e => Seq(e - 3L, e - 1L, e).filter(_ >= 0L))
+  }
+
+  test("columnar layout and reads hold through fuelled merges and compaction ((Long, Long) times)") {
+    // Iterations within an epoch; the two-element frontier {(e-2, 1), (e-4, 3)}
+    // advances every epoch and exercises rep_F beyond the single-element case.
+    for (fuel <- Seq(1L, 8L, 1000000L))
+      checkColumnar[(Long, Long)](fuel)(
+        e => (e, 0L),
+        (rng, e) => (e, rng.nextInt(4).toLong),
+        e => Frontier((e - 2L, 1L), (e - 4L, 3L)),
+        e => for (a <- Seq(e - 1L, e); b <- 1L to 4L) yield (a, b))
+  }
 }

@@ -223,4 +223,16 @@ class EngineSpec extends AnyFunSuite {
     assert(iters < 20)
     eng.close()
   }
+
+  test("FeedbackLoop fails loudly when maxIters ends it with updates still pending") {
+    val eng = new Engine(2)
+    try {
+      val df     = eng.newDataflow()
+      val candIn = df.newInput[Long]()
+      // A loop that never converges: every n derives n + 1.
+      val next = candIn.stream.map(_ + 1L)
+      val e = intercept[IllegalStateException](FeedbackLoop.run(eng, candIn, next, Seq((0L, 1L)), maxIters = 5))
+      assert(e.getMessage.contains("5 iterations"))
+    } finally eng.close()
+  }
 }
