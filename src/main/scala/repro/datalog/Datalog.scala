@@ -22,14 +22,6 @@ import scala.collection.mutable
   */
 object Datalog {
 
-  private def collectDeltas[D](stream: Stream[D]): mutable.HashMap[D, Long] = {
-    val acc = new mutable.HashMap[D, Long]
-    stream.inspect((_, delta) => delta.foreach { case (f, d) =>
-      acc.updateWith(f)(p => Some(p.getOrElse(0L) + d).filter(_ != 0L))
-    })
-    acc
-  }
-
   /** Full bottom-up transitive closure; returns the number of derived facts.
     * This is what every `tc(x,?)` query must run when arrangements cannot be
     * shared (the "full eval. (no SA)" rows of Figure 8).
@@ -56,8 +48,8 @@ object Datalog {
       .importInto(df)
       .join(edgesBySrc)((_, x, y) => (x, y))
       .filter { case (x, y) => x != y }
-    val seeds = collectDeltas(base)
     engine.step()
+    val seeds = base.currentDelta // the loop variable's arrangeBy consolidates them
 
     val candIn = df.newInput[(Long, Long)]()
     val sg     = candIn.stream.arrangeBy(xy => (xy, ())).distinct
@@ -67,7 +59,7 @@ object Datalog {
       .join(edgesBySrc)((_, b, x) => (b, x))
       .arrangeBy(identity)
       .join(edgesBySrc)((_, x, y) => (x, y))
-    FeedbackLoop.run(engine, candIn, up, seeds.toSeq)
+    FeedbackLoop.run(engine, candIn, up, seeds)
     val n = sg.snapshot().length.toLong
     df.retire()
     n
@@ -121,8 +113,8 @@ object Datalog {
       .arrangeBy(identity)
       .join(edgesBySrc)((_, c, sib) => (c, sib))
       .filter { case (c, sib) => c != sib }
-    val seeds = collectDeltas(base)
     engine.step()
+    val seeds = base.currentDelta // the loop variable's arrangeBy consolidates them
 
     val candIn = df.newInput[(Long, Long)]()
     val sg     = candIn.stream.arrangeBy(xy => (xy, ())).distinct
@@ -134,7 +126,7 @@ object Datalog {
       .join(edgesBySrc)((_, c, y) => (c, y))
       .arrangeBy(identity)
       .join(magic)((c, y, _) => (c, y)) // magic restriction (semijoin)
-    FeedbackLoop.run(engine, candIn, up, seeds.toSeq)
+    FeedbackLoop.run(engine, candIn, up, seeds)
     val n = sg.snapshot().count { case ((a, _), _, _) => a == x }.toLong
     dfM.retire(); df.retire()
     n

@@ -170,8 +170,17 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
   private[dd] val current: Array[IndexedSeq[(K, V, Long)]] =
     Array.fill(dataflow.engine.workers)(Vector.empty)
 
-  /** Per-epoch delta of the arranged collection, as a stream of ((k, v), diff). */
-  val changes: Stream[(K, V)] = new Stream[(K, V)](dataflow)
+  private var changesRead = false
+
+  /** Per-epoch delta of the arranged collection, as a stream of ((k, v), diff).
+    * Built on first access; only from then on does [[publish]] fill it.
+    */
+  lazy val changes: Stream[(K, V)] = {
+    val s = new Stream[(K, V)](dataflow)
+    s.delta = changeRows
+    changesRead = true
+    s
+  }
 
   private[dd] def currentShard(s: Int): IndexedSeq[(K, V, Long)] = current(s)
 
@@ -182,8 +191,10 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
   }
 
   /** Publish this epoch's minted batches, all shards, on [[changes]]. */
-  private[dd] def publish(): Unit =
-    changes.delta = current.iterator.flatMap(_.iterator.map { case (k, v, d) => ((k, v), d) }).toVector
+  private[dd] def publish(): Unit = if (changesRead) changes.delta = changeRows
+
+  private def changeRows: IndexedSeq[((K, V), Long)] =
+    current.iterator.flatMap(_.iterator.map { case (k, v, d) => ((k, v), d) }).toVector
 
   private[dd] def accumulate(s: Int, k: K, asOf: Long): IndexedSeq[(V, Long)] =
     spines(s).accumulate(k, asOf)
@@ -269,6 +280,11 @@ final class ImportedArranged[K, V] private[dd] (
   * with the loop body's output delta fed back into `input`. With arrangements
   * inside the body, the bilinear join rule makes this semi-naive evaluation
   * automatically (only newly derived facts join against the static relations).
+  *
+  * The output is fed back unconsolidated: the loop variable's `arrangeBy`
+  * drops cancelling updates, one iteration later (§4.2). The loop ends on an
+  * empty output; a body whose output bypasses every arrangement is bounded
+  * only by `maxIters`, which throws. Returns the number of iterations.
   */
 object FeedbackLoop {
   def run[D](
@@ -280,17 +296,10 @@ object FeedbackLoop {
   ): Int = {
     var pending: Seq[(D, Long)] = seed
     var iters = 0
-    val shards = new Array[Seq[(D, Long)]](engine.workers)
     while (pending.nonEmpty && iters < maxIters) {
       input.send(pending)
       engine.step()
-      // Consolidate the loop output per shard of its hash, in parallel.
-      engine.exchange(output.currentDelta)(identity)(_._1.hashCode) { (s, updates) =>
-        val acc = mutable.HashMap.empty[D, Long]
-        updates.foreach { case (d, diff) => acc.updateWith(d)(p => Some(p.getOrElse(0L) + diff)) }
-        shards(s) = acc.iterator.filter(_._2 != 0L).toVector
-      }
-      pending = shards.iterator.flatten.toVector
+      pending = output.currentDelta
       iters += 1
     }
     if (pending.nonEmpty)

@@ -56,27 +56,6 @@ final class Batch[K, V, T] private[dd] (
     if (i < keys.length && ordK.equiv(key(i), k)) i else -1
   }
 
-  /** The `[from, until)` row range holding key `k` (empty if absent). */
-  def keyRange(k: K): (Int, Int) = {
-    val i    = lowerBound(k)
-    val from = valOffs(keyOffs(i))
-    if (i < keys.length && ordK.equiv(key(i), k)) (from, valOffs(keyOffs(i + 1))) else (from, from)
-  }
-
-  /** All updates for key `k`, as `(value, time, diff)`. */
-  def history(k: K): IndexedSeq[(V, T, Long)] = {
-    val i = find(k)
-    if (i < 0) Vector.empty
-    else for (j <- keyOffs(i) until keyOffs(i + 1); r <- valOffs(j) until valOffs(j + 1))
-      yield (value(j), time(r), diffs(r))
-  }
-
-  /** Iterate `(key, fromRow, untilRow)` over the distinct keys in order. */
-  def foreachKeySlice(f: (K, Int, Int) => Unit): Unit = {
-    var i = 0
-    while (i < keys.length) { f(key(i), valOffs(keyOffs(i)), valOffs(keyOffs(i + 1))); i += 1 }
-  }
-
   /** The `(key, value, diff)` rows, each value's diffs summed over its times:
     * for a batch minted at one time, the epoch's delta it carries.
     */

@@ -74,9 +74,9 @@ final class Engine(
   private[dd] def shardOf(hash: Int): Int =
     (scala.util.hashing.byteswap32(hash) & 0x7fffffff) % workers
 
-  /** The exchange: route each record of `data` to the worker shard of its
-    * `hash`, then run `f(s, records of shard s)` for every shard. Workers
-    * first scan disjoint slices of `data` into per-shard buffers, in
+  /** `arrangeBy`'s exchange: route each record of `data` to the worker shard
+    * of its `hash`, then run `f(s, records of shard s)` for every shard.
+    * Workers first scan disjoint slices of `data` into per-shard buffers, in
     * parallel; then each shard reads its buffers in slice order, so it
     * receives its records in input order whatever the worker count, and the
     * shards run in parallel.

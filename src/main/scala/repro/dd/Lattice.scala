@@ -55,7 +55,10 @@ final case class Frontier[T] private (elements: Vector[T])(implicit val lattice:
   def isEmpty: Boolean = elements.isEmpty
 
   /** Is `t` greater than or equal to some element of this frontier? */
-  def beyond(t: T): Boolean = elements.exists(f => lattice.lteq(f, t))
+  def beyond(t: T): Boolean = {
+    var i = 0; while (i < elements.length && !lattice.lteq(elements(i), t)) i += 1
+    i < elements.length
+  }
 
   /** `rep_F(t) = ⋀_{f∈F}(t ⋁ f)` — the optimal compaction representative of
     * `t` relative to this frontier (Appendix A). Requires a nonempty frontier.

@@ -23,20 +23,21 @@ class BatchSpineSpec extends AnyFunSuite {
     assert(b.isEmpty)
   }
 
-  test("keyRange and history answer point lookups") {
+  test("find and updates answer point lookups") {
     val b = Batch.fromUpdates(Frontier(0L), Frontier(1L),
       Seq((1L, "a", 0L, 1L), (2L, "a", 0L, 1L), (2L, "b", 0L, 2L), (5L, "z", 0L, 1L)))
-    assert(b.history(2L) == Vector(("a", 0L, 1L), ("b", 0L, 2L)))
-    assert(b.history(3L).isEmpty)
-    assert(b.keyRange(2L) == ((1, 3)))
+    assert(b.updates.collect { case (2L, v, t, d) => (v, t, d) } == Vector(("a", 0L, 1L), ("b", 0L, 2L)))
+    assert(b.find(3L) == -1)
+    val i = b.find(2L)
+    assert((b.valOffs(b.keyOffs(i)), b.valOffs(b.keyOffs(i + 1))) == ((1, 3)))
   }
 
-  test("foreachKeySlice visits each distinct key once, in order") {
+  test("the key column holds each distinct key once, in order") {
     val b = Batch.fromUpdates(Frontier(0L), Frontier(1L),
       Seq((3L, "a", 0L, 1L), (1L, "a", 0L, 1L), (3L, "b", 0L, 1L)))
-    val seen = mutable.ArrayBuffer.empty[Long]
-    b.foreachKeySlice((k, _, _) => seen += k)
-    assert(seen == Seq(1L, 3L))
+    assert(b.updates.map(_._1).distinct == Seq(1L, 3L))
+    assert((0 until b.keyCount).map(b.key) == Seq(1L, 3L))
+    assert(b.find(1L) == 0 && b.find(3L) == 1)
   }
 
   test("spine accumulate equals naive accumulation over random insert sequences") {

@@ -1,6 +1,7 @@
 package repro.dd
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.graph.{BatchGraph, GraphGen}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -222,6 +223,37 @@ class EngineSpec extends AnyFunSuite {
     assert(tc == expected)
     assert(iters < 20)
     eng.close()
+  }
+
+  test("FeedbackLoop terminates when a loop's raw output cancels, and the arrangement drops the cancelled updates") {
+    val edges = GraphGen.uniform(300, 900, seed = 11L)
+    val adj   = edges.groupMap(_._1)(_._2)
+    // Naive BFS from node 0: the reached set and the number of levels.
+    val seen     = mutable.Set(0L)
+    var frontier = Set(0L)
+    var levels   = 0
+    while (frontier.nonEmpty) { levels += 1; frontier = frontier.flatMap(adj.getOrElse(_, Array.empty[Long])).filter(seen.add) }
+    val naive = seen.toSet
+    for (w <- Seq(1, 2)) {
+      val eng = new Engine(w)
+      try {
+        val idx     = BatchGraph.indexForward(eng, edges)
+        val df      = eng.newDataflow()
+        val candIn  = df.newInput[Long]()
+        val reached = candIn.stream.arrangeBy(n => (n, ())).distinct
+        val next    = reached.join(idx)((_, _, dst) => dst)
+        // Each iteration also emits every newly reached node and its negation.
+        val fresh  = reached.changes.map(_._1)
+        val output = next.concat(fresh).concat(fresh.negate).concat(next).concat(next.negate)
+        val iters  = FeedbackLoop.run(eng, candIn, output, Seq((0L, 1L)))
+        assert(reached.snapshot().map(_._1).toSet == naive, s"workers=$w")
+        // One iteration per level, plus the one whose output is empty.
+        assert(iters == levels + 1, s"workers=$w")
+        // A seed that cancels itself reaches nothing and stops after one iteration.
+        assert(FeedbackLoop.run(eng, candIn, output, Seq((0L, 1L), (0L, -1L))) == 1)
+        assert(reached.snapshot().map(_._1).toSet == naive)
+      } finally eng.close()
+    }
   }
 
   test("FeedbackLoop fails loudly when maxIters ends it with updates still pending") {

@@ -1,13 +1,15 @@
 package repro.dd
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.datalog.Datalog
 import repro.graph.{BatchGraph, GraphGen}
 import scala.util.Random
 
-/** The exchange (`arrangeBy`'s partitioning and `FeedbackLoop`'s
-  * consolidation) must not depend on the worker count: the same input gives
-  * the same arrangements, results and iteration counts at 1, 2 and 4 workers.
-  * Inputs are large enough for the exchange to split them across workers.
+/** The exchange (`arrangeBy`'s partitioning, which also consolidates the
+  * updates `FeedbackLoop` feeds back) must not depend on the worker count:
+  * the same input gives the same arrangements, results and iteration counts
+  * at 1, 2 and 4 workers. Inputs are large enough for the exchange to split
+  * them across workers.
   */
 class ExchangeSpec extends AnyFunSuite {
 
@@ -63,5 +65,28 @@ class ExchangeSpec extends AnyFunSuite {
     }
     assert(runs.forall(_ == runs.head), runs.map(r => (r._1.size, r._2.values.toSet.size, r._3)))
     assert(runs.head._3 > 1)
+  }
+
+  test("reach, sssp, wcc, tcFull and sgFull take their pinned iteration counts at every worker count") {
+    val edges = GraphGen.uniform(2000, 6000, seed = 7L)
+    val gnp   = GraphGen.gnp(200, 0.01, seed = 7L)
+    for (w <- workerCounts) withEngine(w) { eng =>
+      def steps(f: => Any): Long = { val before = eng.epoch; f; eng.epoch - before }
+      val fwd  = BatchGraph.indexForward(eng, edges)
+      val wIdx = BatchGraph.indexWeighted(eng, GraphGen.weighted(edges, seed = 7L))
+      val sym  = BatchGraph.indexForward(eng, GraphGen.symmetrize(edges))
+      val gIdx = BatchGraph.indexForward(eng, gnp)
+      val tIdx = BatchGraph.indexForward(eng, GraphGen.tree(2, 6))
+      val got = Map(
+        "reach"   -> steps(BatchGraph.reach(eng, fwd, 0L)),
+        "sssp"    -> steps(BatchGraph.sssp(eng, wIdx, 0L)),
+        "wcc"     -> steps(BatchGraph.wcc(eng, sym, 0L until 2000L)),
+        "tc_full" -> steps(Datalog.tcFull(eng, gIdx, gnp)),
+        "sg_full" -> steps(Datalog.sgFull(eng, tIdx)),
+      )
+      // Loop feedback is consolidated only by the loop variable's arrangeBy;
+      // that must not add or drop iterations.
+      assert(got == Map("reach" -> 14L, "sssp" -> 18L, "wcc" -> 9L, "tc_full" -> 20L, "sg_full" -> 7L), s"workers=$w")
+    }
   }
 }
