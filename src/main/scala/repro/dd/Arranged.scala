@@ -40,7 +40,19 @@ trait ArrangedView[K, V] {
     * delta batches — seeks into the other trace, never scans of it — which is
     * what makes attaching new dataflows to large shared arrangements cheap.
     */
-  def joinFlat[V2, O](other: ArrangedView[K, V2])(f: (K, V, V2) => IterableOnce[O]): Stream[O] = {
+  def join[V2, O](other: ArrangedView[K, V2])(f: (K, V, V2) => O): Stream[O] =
+    joinWith[V2, O](other)((out, k, v, v2, d) => out += ((f(k, v, v2), d)))
+
+  /** [[join]] where each match yields any number of outputs. */
+  def joinFlat[V2, O](other: ArrangedView[K, V2])(f: (K, V, V2) => IterableOnce[O]): Stream[O] =
+    joinWith[V2, O](other)((out, k, v, v2, d) => f(k, v, v2).iterator.foreach(o => out += ((o, d))))
+
+  /** Appends the outputs of one join match `(k, v, v2)` with diff `d`; a
+    * trait rather than a `Function5`, which would box `d` on every match.
+    */
+  private trait Emit[V2, O] { def apply(out: mutable.Growable[(O, Long)], k: K, v: V, v2: V2, d: Long): Unit }
+
+  private def joinWith[V2, O](other: ArrangedView[K, V2])(emit: Emit[V2, O]): Stream[O] = {
     require(other.engine eq engine, "joined arrangements must share an engine")
     val df  = Dataflows.later(dataflow, other.dataflow)
     val out = new Stream[O](df)
@@ -55,18 +67,14 @@ trait ArrangedView[K, V] {
             val matches = b.accumulate(s, k, epoch - 1L)
             if (matches.nonEmpty)
               rows.foreach { case (_, v, d) =>
-                matches.foreach { case (v2, d2) =>
-                  f(k, v, v2).iterator.foreach(o => buf += ((o, d * d2)))
-                }
+                matches.foreach { case (v2, d2) => emit(buf, k, v, v2, d * d2) }
               }
           }
           foreachKeyRun(b.currentShard(s)) { (k, rows) =>
             val matches = a.accumulate(s, k, epoch)
             if (matches.nonEmpty)
               rows.foreach { case (_, v2, d2) =>
-                matches.foreach { case (v, d) =>
-                  f(k, v, v2).iterator.foreach(o => buf += ((o, d * d2)))
-                }
+                matches.foreach { case (v, d) => emit(buf, k, v, v2, d * d2) }
               }
           }
           results(s) = buf.result()
@@ -76,9 +84,6 @@ trait ArrangedView[K, V] {
     })
     out
   }
-
-  def join[V2, O](other: ArrangedView[K, V2])(f: (K, V, V2) => O): Stream[O] =
-    joinFlat(other)((k, v, v2) => f(k, v, v2) :: Nil)
 
   private def foreachKeyRun[W](rows: IndexedSeq[(K, W, Long)])(f: (K, IndexedSeq[(K, W, Long)]) => Unit): Unit = {
     var i = 0
@@ -102,7 +107,7 @@ trait ArrangedView[K, V] {
     df.register(new Op {
       def advance(epoch: Long): Unit = {
         engine.parallel(engine.workers) { s =>
-          val rows = new BatchBuilder[K, O, Long](in.currentShard(s).length)
+          val rows = new BatchBuilder[K, O](in.currentShard(s).length)
           foreachKeyRun(in.currentShard(s)) { (k, _) =>
             val input  = in.accumulate(s, k, epoch)
             val target = mutable.HashMap.empty[O, Long]
@@ -163,7 +168,7 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
 ) extends ArrangedView[K, V] {
 
   private[dd] val spines: Array[Spine[K, V, Long]] =
-    Array.fill(dataflow.engine.workers)(new Spine[K, V, Long](dataflow.engine.fuelPerRecord))
+    Array.fill(dataflow.engine.workers)(new Spine[K, V, Long]())
 
   dataflow.ownedSpines ++= spines
 
@@ -182,10 +187,17 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
     s
   }
 
-  private[dd] def currentShard(s: Int): IndexedSeq[(K, V, Long)] = current(s)
+  /** Reads through an arrangement whose dataflow is retired would see its
+    * spines frozen at retirement, so every read path fails instead (§4.3).
+    */
+  private def requireLive(): Unit =
+    if (dataflow.isRetired)
+      throw new IllegalStateException(s"arrangement of dataflow ${dataflow.index} is read after that dataflow was retired")
+
+  private[dd] def currentShard(s: Int): IndexedSeq[(K, V, Long)] = { requireLive(); current(s) }
 
   /** Insert shard `s`'s batch minted this epoch; it becomes the shard's delta. */
-  private[dd] def mint(s: Int, batch: Batch[K, V, Long]): Unit = {
+  private[dd] def mint(s: Int, batch: Batch[K, V]): Unit = {
     spines(s).insert(batch)
     current(s) = batch.deltaRows
   }
@@ -196,11 +208,13 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
   private def changeRows: IndexedSeq[((K, V), Long)] =
     current.iterator.flatMap(_.iterator.map { case (k, v, d) => ((k, v), d) }).toVector
 
-  private[dd] def accumulate(s: Int, k: K, asOf: Long): IndexedSeq[(V, Long)] =
-    spines(s).accumulate(k, asOf)
+  private[dd] def accumulate(s: Int, k: K, asOf: Long): IndexedSeq[(V, Long)] = {
+    requireLive(); spines(s).accumulate(k, asOf)
+  }
 
-  private[dd] def shardSnapshot(s: Int, asOf: Long): IndexedSeq[(K, V, Long)] =
-    spines(s).snapshot(asOf)
+  private[dd] def shardSnapshot(s: Int, asOf: Long): IndexedSeq[(K, V, Long)] = {
+    requireLive(); spines(s).snapshot(asOf)
+  }
 
   def tupleCount: Long = spines.iterator.map(_.tupleCount).sum
 
@@ -224,7 +238,7 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
           // whole collection on install, every update after. The source's
           // rows arrive sorted and consolidated, so they append in order.
           val rows  = if (first) src.shardSnapshot(s, epoch) else src.currentShard(s)
-          val batch = new BatchBuilder[K, V, Long](rows.length)
+          val batch = new BatchBuilder[K, V](rows.length, values = rows.length)
           rows.foreach { case (k, v, d) => batch.group(k, v); batch.push(epoch, d) }
           dst.mint(s, batch.result(Frontier(epoch), Frontier(epoch + 1L)))
         }

@@ -5,29 +5,29 @@ import scala.collection.immutable.ArraySeq
 
 /** An immutable, indexed batch of update triples (§4.1–4.2).
   *
-  * Updates are `(key, value, time, diff)` rows sorted by `(key, value, time)`
-  * (time via the lattice's total-order extension), consolidated so that no two
-  * rows share `(key, value, time)` and no row has a zero diff. The batch spans
-  * the half-open time range `[lower, upper)`: every update time is beyond
-  * `lower` and not beyond `upper`.
+  * Updates are `(key, value, time, diff)` rows sorted by `(key, value, time)`,
+  * consolidated so that no two rows share `(key, value, time)` and no row has
+  * a zero diff. Times are totally ordered `Long` epochs. The batch spans the
+  * half-open time range `[lower, upper)`: every update time is beyond `lower`
+  * and not beyond `upper`.
   *
   * The rows are stored column-wise, in the layout of differential dataflow's
   * `OrdValBatch`: the distinct keys in order; for key `i`, its distinct values
   * at `vals(keyOffs(i) until keyOffs(i + 1))`; for value `j`, its times and
-  * diffs at `valOffs(j) until valOffs(j + 1)`. Random access is by binary
-  * search on the key column — the index that arrangement-aware operators
-  * navigate.
+  * diffs at `valOffs(j) until valOffs(j + 1)`, both primitive `Long` columns.
+  * Random access is by binary search on the key column — the index that
+  * arrangement-aware operators navigate.
   */
-final class Batch[K, V, T] private[dd] (
-    val lower: Frontier[T],
-    val upper: Frontier[T],
+final class Batch[K, V] private[dd] (
+    val lower: Frontier[Long],
+    val upper: Frontier[Long],
     keys: Array[AnyRef],
     private[dd] val keyOffs: Array[Int],
     vals: Array[AnyRef],
     private[dd] val valOffs: Array[Int],
-    times: Array[AnyRef],
+    private[dd] val times: Array[Long],
     private[dd] val diffs: Array[Long],
-)(implicit val ordK: Ordering[K], val ordV: Ordering[V], val lattice: Lattice[T]) {
+)(implicit val ordK: Ordering[K], val ordV: Ordering[V]) {
 
   /** Number of `(key, value, time)` rows. */
   def size: Int        = diffs.length
@@ -38,7 +38,6 @@ final class Batch[K, V, T] private[dd] (
 
   private[dd] def key(i: Int): K   = keys(i).asInstanceOf[K]
   private[dd] def value(j: Int): V = vals(j).asInstanceOf[V]
-  private[dd] def time(r: Int): T  = times(r).asInstanceOf[T]
 
   /** First key index with key >= `k`. */
   private def lowerBound(k: K): Int = {
@@ -80,34 +79,33 @@ final class Batch[K, V, T] private[dd] (
   /** The rows as `(key, value, time, diff)` tuples, built on demand: a view
     * for tests and inspection; operators read the columns.
     */
-  def updates: IndexedSeq[(K, V, T, Long)] =
+  def updates: IndexedSeq[(K, V, Long, Long)] =
     for (i <- 0 until keys.length; j <- keyOffs(i) until keyOffs(i + 1); r <- valOffs(j) until valOffs(j + 1))
-      yield (key(i), value(j), time(r), diffs(r))
+      yield (key(i), value(j), times(r), diffs(r))
 }
 
 object Batch {
 
   /** Sort, consolidate and index raw update triples into a batch. */
-  def fromUpdates[K, V, T](
-      lower: Frontier[T],
-      upper: Frontier[T],
-      raw: Iterable[(K, V, T, Long)],
-  )(implicit ordK: Ordering[K], ordV: Ordering[V], lat: Lattice[T]): Batch[K, V, T] = {
-    type Row = (K, V, T, Long)
+  def fromUpdates[K, V](
+      lower: Frontier[Long],
+      upper: Frontier[Long],
+      raw: Iterable[(K, V, Long, Long)],
+  )(implicit ordK: Ordering[K], ordV: Ordering[V]): Batch[K, V] = {
+    type Row = (K, V, Long, Long)
     val rows = new Array[AnyRef](raw.size)
     raw.copyToArray(rows)
-    val ordT = lat.totalOrder
     Arrays.sort(rows, (x: AnyRef, y: AnyRef) => {
       val a = x.asInstanceOf[Row]; val b = y.asInstanceOf[Row]
       val ck = ordK.compare(a._1, b._1)
       if (ck != 0) ck
       else {
         val cv = ordV.compare(a._2, b._2)
-        if (cv != 0) cv else ordT.compare(a._3, b._3)
+        if (cv != 0) cv else java.lang.Long.compare(a._3, b._3)
       }
     })
     // One pass over the sorted rows, summing diffs per (key, value, time).
-    val out       = new BatchBuilder[K, V, T](rows.length)
+    val out       = new BatchBuilder[K, V](rows.length)
     var prev: Row = null
     var acc       = 0L
     var i         = 0
@@ -116,7 +114,7 @@ object Batch {
       if (prev == null) { out.group(r._1, r._2); acc = r._4 }
       else if (!ordK.equiv(r._1, prev._1) || !ordV.equiv(r._2, prev._2)) {
         out.push(prev._3, acc); out.group(r._1, r._2); acc = r._4
-      } else if (!ordT.equiv(r._3, prev._3)) { out.push(prev._3, acc); acc = r._4 }
+      } else if (r._3 != prev._3) { out.push(prev._3, acc); acc = r._4 }
       else acc += r._4
       prev = r
       i += 1
@@ -134,21 +132,23 @@ object Batch {
   * [[push]] its times in strictly increasing order. Zero diffs are dropped,
   * and a group that receives no nonzero diff leaves no trace.
   *
-  * @param capacity expected row count; the columns grow past it if needed.
+  * @param rows   expected row count;
+  * @param keys   expected distinct keys;
+  * @param values expected distinct `(key, value)` groups. Each column grows
+  *               past its expectation if needed.
   */
-private[dd] final class BatchBuilder[K, V, T](capacity: Int)(implicit
+private[dd] final class BatchBuilder[K, V](rows: Int, keys: Int = 8, values: Int = 8)(implicit
     ordK: Ordering[K],
     ordV: Ordering[V],
-    lat: Lattice[T],
 ) {
-  private var keys     = new Array[AnyRef](capacity)
-  private var keyOffs  = new Array[Int](capacity + 1)
+  private var keyCol   = new Array[AnyRef](keys)
+  private var keyOffs  = new Array[Int](keys + 1)
   private var nk       = 0
-  private var vals     = new Array[AnyRef](capacity)
-  private var valOffs  = new Array[Int](capacity + 1)
+  private var valCol   = new Array[AnyRef](values)
+  private var valOffs  = new Array[Int](values + 1)
   private var nv       = 0
-  private var times    = new Array[AnyRef](capacity)
-  private var diffs    = new Array[Long](capacity)
+  private var times    = new Array[Long](rows)
+  private var diffs    = new Array[Long](rows)
   private var n        = 0
   private var groupKey: K = _
   private var groupVal: V = _
@@ -157,27 +157,27 @@ private[dd] final class BatchBuilder[K, V, T](capacity: Int)(implicit
   /** Start the group of `(k, v)`; it is stored with its first nonzero diff. */
   def group(k: K, v: V): Unit = { groupKey = k; groupVal = v; open = true }
 
-  def push(t: T, d: Long): Unit = if (d != 0L) {
+  def push(t: Long, d: Long): Unit = if (d != 0L) {
     if (open) {
-      if (nk == 0 || !ordK.equiv(keys(nk - 1).asInstanceOf[K], groupKey)) {
-        if (nk == keys.length) { keys = Arrays.copyOf(keys, grown(nk)); keyOffs = Arrays.copyOf(keyOffs, grown(nk) + 1) }
-        keys(nk) = groupKey.asInstanceOf[AnyRef]; keyOffs(nk) = nv; nk += 1
+      if (nk == 0 || !ordK.equiv(keyCol(nk - 1).asInstanceOf[K], groupKey)) {
+        if (nk == keyCol.length) { keyCol = Arrays.copyOf(keyCol, grown(nk)); keyOffs = Arrays.copyOf(keyOffs, grown(nk) + 1) }
+        keyCol(nk) = groupKey.asInstanceOf[AnyRef]; keyOffs(nk) = nv; nk += 1
       }
-      if (nv == vals.length) { vals = Arrays.copyOf(vals, grown(nv)); valOffs = Arrays.copyOf(valOffs, grown(nv) + 1) }
-      vals(nv) = groupVal.asInstanceOf[AnyRef]; valOffs(nv) = n; nv += 1
+      if (nv == valCol.length) { valCol = Arrays.copyOf(valCol, grown(nv)); valOffs = Arrays.copyOf(valOffs, grown(nv) + 1) }
+      valCol(nv) = groupVal.asInstanceOf[AnyRef]; valOffs(nv) = n; nv += 1
       open = false
     }
     if (n == times.length) { times = Arrays.copyOf(times, grown(n)); diffs = Arrays.copyOf(diffs, grown(n)) }
-    times(n) = t.asInstanceOf[AnyRef]; diffs(n) = d; n += 1
+    times(n) = t; diffs(n) = d; n += 1
   }
 
   /** The batch of everything pushed, with exactly sized columns. */
-  def result(lower: Frontier[T], upper: Frontier[T]): Batch[K, V, T] = {
+  def result(lower: Frontier[Long], upper: Frontier[Long]): Batch[K, V] = {
     keyOffs(nk) = nv; valOffs(nv) = n
     new Batch(
       lower, upper,
-      trim(keys, nk), trim(keyOffs, nk + 1),
-      trim(vals, nv), trim(valOffs, nv + 1),
+      trim(keyCol, nk), trim(keyOffs, nk + 1),
+      trim(valCol, nv), trim(valOffs, nv + 1),
       trim(times, n), trim(diffs, n),
     )
   }

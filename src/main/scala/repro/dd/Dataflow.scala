@@ -1,6 +1,6 @@
 package repro.dd
 
-import java.util.concurrent.{Callable, ExecutorService, Executors}
+import java.util.concurrent.{Callable, ExecutionException, ExecutorService, Executors}
 import scala.collection.mutable
 
 /** Epoch-synchronous differential dataflow engine with shared arrangements.
@@ -21,11 +21,7 @@ import scala.collection.mutable
   * *unshared* baseline: it physically re-indexes the full collection into a
   * private arrangement and duplicates maintenance work each epoch.
   */
-final class Engine(
-    val workers: Int = 1,
-    val fuelPerRecord: Long = 8L,
-    val keepHistory: Long = 1L,
-) extends AutoCloseable {
+final class Engine(val workers: Int = 1) extends AutoCloseable {
 
   private[dd] val pool: ExecutorService =
     if (workers > 1) Executors.newFixedThreadPool(workers - 1) else null
@@ -43,12 +39,15 @@ final class Engine(
     df
   }
 
-  /** Advance every installed dataflow by one epoch and compact traces. */
+  /** Advance every installed dataflow by one epoch, then compact every
+    * owned trace to the new epoch: operators read only the current epoch and
+    * the one before it, so afterwards a read at an earlier epoch fails.
+    */
   def step(): Unit = {
     epochVar += 1
     val active = dataflows.toVector
     active.foreach(_.advance(epochVar))
-    val frontier = Frontier(math.max(0L, epochVar - keepHistory + 1L))
+    val frontier = Frontier(epochVar)
     active.foreach(_.ownedSpines.foreach(_.advanceCompaction(frontier)))
   }
 
@@ -59,16 +58,18 @@ final class Engine(
   private[dd] def retireDataflow(df: Dataflow): Unit = { dataflows -= df }
 
   /** Run `f(0 until n)` across the worker pool (inline when single-worker):
-    * the caller runs `f(0)` while the pool runs the rest, then waits for them.
-    * Shards are disjoint, so no synchronization is needed — co-scheduling
-    * without locks, as in §3.5.
+    * the caller runs `f(0)` while the pool runs the rest, then waits for them
+    * and rethrows a pool task's failure as it was thrown. Shards are
+    * disjoint, so no synchronization is needed — co-scheduling without
+    * locks, as in §3.5.
     */
   private[dd] def parallel(n: Int)(f: Int => Unit): Unit =
     if (pool == null || n <= 1) {
       var i = 0; while (i < n) { f(i); i += 1 }
     } else {
       val rest = (1 until n).map(i => pool.submit(new Callable[Unit] { def call(): Unit = f(i) }))
-      try f(0) finally rest.foreach(_.get()) // propagate exceptions
+      try f(0)
+      finally rest.foreach(r => try r.get() catch { case e: ExecutionException => throw e.getCause })
     }
 
   private[dd] def shardOf(hash: Int): Int =
@@ -107,6 +108,8 @@ final class Dataflow private[dd] (val engine: Engine, val installEpoch: Long, va
   private[dd] val ops         = mutable.ArrayBuffer.empty[Op]
   private[dd] val ownedSpines = mutable.ArrayBuffer.empty[Spine[_, _, Long]]
   private var retired         = false
+
+  private[dd] def isRetired: Boolean = retired
 
   private[dd] def register(op: Op): Unit = ops += op
 

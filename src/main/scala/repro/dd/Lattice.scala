@@ -2,11 +2,11 @@ package repro.dd
 
 /** Lattice of logical timestamps (§3.1 of the paper).
   *
-  * Differential dataflow times are only *partially* ordered; arrangements
-  * additionally need a total order extension ([[totalOrder]]) to sort update
-  * triples canonically inside immutable batches. For totally ordered times
-  * (streaming epochs) `lub = max` and `glb = min`; the product instance gives
-  * the (epoch, iteration) shape used by iterative scopes.
+  * Differential dataflow times are only *partially* ordered. The engine's
+  * traces use totally ordered `Long` epochs (`lub = max`, `glb = min`), and
+  * use lattices only for the `Frontier[Long]` bounds of their batches. The
+  * product instance, the (epoch, iteration) shape of iterative scopes, serves
+  * the Appendix-A model of compaction that `LatticeSpec` property-tests.
   */
 trait Lattice[T] extends Serializable {
 
@@ -18,9 +18,6 @@ trait Lattice[T] extends Serializable {
 
   /** Greatest lower bound (the paper's `∨` in Appendix A notation). */
   def glb(a: T, b: T): T
-
-  /** A total order extending [[lteq]], used only for canonical batch sort. */
-  def totalOrder: Ordering[T]
 }
 
 object Lattice {
@@ -31,7 +28,6 @@ object Lattice {
     def lteq(a: Long, b: Long): Boolean = a <= b
     def lub(a: Long, b: Long): Long     = math.max(a, b)
     def glb(a: Long, b: Long): Long     = math.min(a, b)
-    val totalOrder: Ordering[Long]      = Ordering.Long
   }
 
   /** Product lattice, ordered coordinate-wise — e.g. (epoch, iteration). */
@@ -41,8 +37,6 @@ object Lattice {
         la.lteq(a._1, b._1) && lb.lteq(a._2, b._2)
       def lub(a: (A, B), b: (A, B)): (A, B) = (la.lub(a._1, b._1), lb.lub(a._2, b._2))
       def glb(a: (A, B), b: (A, B)): (A, B) = (la.glb(a._1, b._1), lb.glb(a._2, b._2))
-      val totalOrder: Ordering[(A, B)] =
-        Ordering.Tuple2(la.totalOrder, lb.totalOrder)
     }
 }
 
@@ -63,15 +57,10 @@ final case class Frontier[T] private (elements: Vector[T])(implicit val lattice:
   /** `rep_F(t) = ⋀_{f∈F}(t ⋁ f)` — the optimal compaction representative of
     * `t` relative to this frontier (Appendix A). Requires a nonempty frontier.
     */
-  def rep(t: T): T =
-    if (elements.length == 1) {
-      // lub(t, f) without building a new time when t and f are comparable.
-      val f = elements(0)
-      if (lattice.lteq(f, t)) t else if (lattice.lteq(t, f)) f else lattice.lub(t, f)
-    } else {
-      require(elements.nonEmpty, "rep_F is undefined for the empty frontier")
-      elements.iterator.map(f => lattice.lub(t, f)).reduceLeft(lattice.glb)
-    }
+  def rep(t: T): T = {
+    require(elements.nonEmpty, "rep_F is undefined for the empty frontier")
+    elements.iterator.map(f => lattice.lub(t, f)).reduceLeft(lattice.glb)
+  }
 
   /** Times `t1`, `t2` are indistinguishable as of this frontier when they
     * compare identically against every time beyond it (Appendix A).

@@ -10,58 +10,67 @@ import scala.reflect.ClassTag
   * readers advance past a frontier, update times are replaced by their
   * `rep_F` representatives and coalesced, bounding the memory footprint.
   *
+  * Times are totally ordered `Long` epochs, so the compaction frontier is one
+  * epoch `since` and `rep_F(t)` is `max(t, since)` (Appendix A).
+  *
   * One spine holds one worker's shard of an arrangement; all interactions are
   * intra-worker (single-threaded), per the paper's hard-partitioning design.
   *
+  * @tparam T unused: always `Long`. It stays only so that existing callers
+  *           that write `new Spine[K, V, Long](...)` keep compiling; a type
+  *           alias cannot stand in for it, because an alias does not carry
+  *           the constructor's default arguments.
   * @param fuelPerRecord merge work performed per inserted record. Large values
   *                      give eager merging (fewer layers, throughput-friendly);
   *                      small values give lazy merging (smaller latency spikes).
   */
-final class Spine[K, V, T](val fuelPerRecord: Long = 8L)(implicit
+final class Spine[K, V, T <: Long](val fuelPerRecord: Long = 8L)(implicit
     ordK: Ordering[K],
     ordV: Ordering[V],
-    lat: Lattice[T],
 ) {
 
   /** Layers oldest-to-newest. Batches under merge remain readable in place
     * until the merged batch atomically replaces them.
     */
-  private var layers: Vector[Batch[K, V, T]] = Vector.empty
+  private var layers: Vector[Batch[K, V]] = Vector.empty
 
   /** In-progress merge of `layers(idx)` and `layers(idx + 1)`: one cursor
     * per input at a (key index, value index), and the merged output so far.
     */
   private final class MergeInProgress(val idx: Int) {
-    val a: Batch[K, V, T] = layers(idx)
-    val b: Batch[K, V, T] = layers(idx + 1)
+    val a: Batch[K, V] = layers(idx)
+    val b: Batch[K, V] = layers(idx + 1)
     var keyA = 0; var valA = 0
     var keyB = 0; var valB = 0
-    val out  = new BatchBuilder[K, V, T](a.size + b.size)
+    val out  = new BatchBuilder[K, V](a.size + b.size, a.keyCount + b.keyCount, a.valueCount + b.valueCount)
     def done: Boolean = valA >= a.valueCount && valB >= b.valueCount
   }
 
   private var merging: MergeInProgress = null
   private var pendingFuel: Long        = 0L
 
-  /** Frontier beyond which all readers operate; times below it are mapped to
-    * their `rep` during merges. Advanced by the engine as trace-handle
-    * frontiers move (§4.3).
+  /** The compaction frontier: all readers operate at times `>= since`, and
+    * merges advance earlier times to `since`. Advanced by the engine as
+    * trace-handle frontiers move (§4.3).
     */
-  private var compaction: Option[Frontier[T]] = None
+  private var since: Long = Long.MinValue
 
-  def compactionFrontier: Option[Frontier[T]] = compaction
+  def compactionFrontier: Long = since
 
-  def advanceCompaction(f: Frontier[T]): Unit = {
-    // Only ever advance; regressions would violate reader guarantees.
-    if (compaction.forall(_.precedesOrEquals(f))) compaction = Some(f)
+  /** Advance the compaction frontier to `f`'s single epoch; it only ever
+    * advances, since a regression would violate reader guarantees.
+    */
+  def advanceCompaction(f: Frontier[Long]): Unit = {
+    require(f.elements.length == 1, s"a compaction frontier is one epoch, not ${f.elements.mkString("{", ", ", "}")}")
+    since = math.max(since, f.elements(0))
   }
 
   def layerCount: Int  = layers.length
-  private[dd] def batches: IndexedSeq[Batch[K, V, T]] = layers
+  private[dd] def batches: IndexedSeq[Batch[K, V]] = layers
   def tupleCount: Long = layers.iterator.map(_.size.toLong).sum
 
   /** Append a freshly minted batch and run amortized maintenance. */
-  def insert(batch: Batch[K, V, T]): Unit = {
+  def insert(batch: Batch[K, V]): Unit = {
     if (!batch.isEmpty) layers :+= batch
     pendingFuel += fuelPerRecord * (batch.size.toLong + 1L)
     work()
@@ -111,32 +120,11 @@ final class Spine[K, V, T](val fuelPerRecord: Long = 8L)(implicit
     }
   }
 
-  /** The (time, diff) history of the (key, value) group under merge; reused
-    * by every step, grown as needed.
-    */
-  private var groupTimes = new Array[AnyRef](16)
-  private var groupDiffs = new Array[Long](16)
-
-  /** Append the times and diffs of `batch`'s value `j` to the group buffer
-    * after its first `n` entries; returns the new length.
-    */
-  private def gather(batch: Batch[K, V, T], j: Int, n: Int): Int = {
-    val from = batch.valOffs(j); val until = batch.valOffs(j + 1)
-    val len  = n + until - from
-    if (len > groupTimes.length) {
-      val cap = math.max(len, 2 * groupTimes.length)
-      groupTimes = java.util.Arrays.copyOf(groupTimes, cap)
-      groupDiffs = java.util.Arrays.copyOf(groupDiffs, cap)
-    }
-    var r = from; var i = n
-    while (r < until) { groupTimes(i) = batch.time(r).asInstanceOf[AnyRef]; groupDiffs(i) = batch.diffs(r); r += 1; i += 1 }
-    len
-  }
-
   /** Advance the in-progress merge by one (key, value) group from whichever
     * cursor is behind (both, when they hold the same group), consuming fuel
-    * proportional to rows consumed. Times are remapped to their compaction
-    * representatives and coalesced on the fly.
+    * proportional to rows consumed. Times are advanced to `max(t, since)`,
+    * which keeps each input's times in order, and the two inputs' times are
+    * merged with equal times coalesced on the fly.
     */
   private def step(m: MergeInProgress): Unit = {
     val a = m.a; val b = m.b
@@ -150,49 +138,33 @@ final class Spine[K, V, T](val fuelPerRecord: Long = 8L)(implicit
         if (ck != 0) ck else ordV.compare(a.value(m.valA), b.value(m.valB))
       }
 
-    var n = 0
+    // The group's rows in each input: [ra, ea) of a and [rb, eb) of b.
+    var ra = 0; var ea = 0; var rb = 0; var eb = 0
     if (c <= 0) {
       m.out.group(a.key(m.keyA), a.value(m.valA))
-      n = gather(a, m.valA, n)
+      ra = a.valOffs(m.valA); ea = a.valOffs(m.valA + 1)
       m.valA += 1
       if (m.valA == a.keyOffs(m.keyA + 1)) m.keyA += 1
     }
     if (c >= 0) {
       m.out.group(b.key(m.keyB), b.value(m.valB))
-      n = gather(b, m.valB, n)
+      rb = b.valOffs(m.valB); eb = b.valOffs(m.valB + 1)
       m.valB += 1
       if (m.valB == b.keyOffs(m.keyB + 1)) m.keyB += 1
     }
+    pendingFuel -= math.max(1, (ea - ra) + (eb - rb))
 
-    // Compact the (time, diff) history of this (key, value) group: remap,
-    // restore time order if the remapping (or the two inputs) broke it, and
-    // coalesce equal times.
-    val ts = groupTimes; val ds = groupDiffs
-    compaction match {
-      case Some(f) if f.elements.nonEmpty =>
-        var i = 0
-        while (i < n) { ts(i) = f.rep(ts(i).asInstanceOf[T]).asInstanceOf[AnyRef]; i += 1 }
-      case _ =>
-    }
-    val ordT = lat.totalOrder
-    var sorted = true
-    var i = 1
-    while (sorted && i < n) { sorted = ordT.lteq(ts(i - 1).asInstanceOf[T], ts(i).asInstanceOf[T]); i += 1 }
-    if (!sorted) {
-      val pairs = Array.tabulate(n)(i => (ts(i).asInstanceOf[T], ds(i)))
-      java.util.Arrays.sort(pairs, Ordering.by[(T, Long), T](_._1)(ordT))
-      i = 0
-      while (i < n) { ts(i) = pairs(i)._1.asInstanceOf[AnyRef]; ds(i) = pairs(i)._2; i += 1 }
-    }
-    i = 0
-    while (i < n) {
-      val t = ts(i).asInstanceOf[T]
+    val at = a.times; val bt = b.times; val f = since
+    while (ra < ea || rb < eb) {
+      val t =
+        if (rb == eb) math.max(at(ra), f)
+        else if (ra == ea) math.max(bt(rb), f)
+        else math.min(math.max(at(ra), f), math.max(bt(rb), f))
       var d = 0L
-      while (i < n && ordT.equiv(ts(i).asInstanceOf[T], t)) { d += ds(i); i += 1 }
+      while (ra < ea && math.max(at(ra), f) == t) { d += a.diffs(ra); ra += 1 }
+      while (rb < eb && math.max(bt(rb), f) == t) { d += b.diffs(rb); rb += 1 }
       m.out.push(t, d)
     }
-
-    pendingFuel -= math.max(1, n)
   }
 
   private def finishMerge(): Unit = {
@@ -205,17 +177,17 @@ final class Spine[K, V, T](val fuelPerRecord: Long = 8L)(implicit
   // ---------------------------------------------------------------- reads
 
   /** Reads are correct only at times beyond the compaction frontier (§4.3):
-    * earlier times may already have been advanced to their representatives.
+    * earlier times may already have been advanced to it.
     */
-  private def requireReadable(asOf: T): Unit =
-    require(compaction.forall(_.beyond(asOf)),
-      s"read at $asOf is not beyond the compaction frontier ${compaction.get.elements.mkString("{", ", ", "}")}")
+  private def requireReadable(asOf: Long): Unit =
+    require(asOf >= since, s"read at $asOf is not beyond the compaction frontier $since")
 
   /** Net diff of `layer`'s value `j` over its updates with `time ≤ asOf`. */
-  private def sumAt(layer: Batch[K, V, T], j: Int, asOf: T): Long = {
-    var d = 0L
-    var r = layer.valOffs(j)
-    while (r < layer.valOffs(j + 1)) { if (lat.lteq(layer.time(r), asOf)) d += layer.diffs(r); r += 1 }
+  private def sumAt(layer: Batch[K, V], j: Int, asOf: Long): Long = {
+    val times = layer.times
+    var d     = 0L
+    var r     = layer.valOffs(j)
+    while (r < layer.valOffs(j + 1)) { if (times(r) <= asOf) d += layer.diffs(r); r += 1 }
     d
   }
 
@@ -223,7 +195,7 @@ final class Spine[K, V, T](val fuelPerRecord: Long = 8L)(implicit
     * over updates with `time ≤ asOf`, zero-entries dropped, sorted by value.
     * `asOf` must be beyond the compaction frontier (§4.3).
     */
-  def accumulate(k: K, asOf: T): IndexedSeq[(V, Long)] = {
+  def accumulate(k: K, asOf: Long): IndexedSeq[(V, Long)] = {
     requireReadable(asOf)
     val out     = mutable.ArrayBuilder.make[(V, Long)]
     var holders = 0
@@ -245,7 +217,7 @@ final class Spine[K, V, T](val fuelPerRecord: Long = 8L)(implicit
   }
 
   /** Full accumulated snapshot at `asOf`, sorted by (key, value). */
-  def snapshot(asOf: T): IndexedSeq[(K, V, Long)] = {
+  def snapshot(asOf: Long): IndexedSeq[(K, V, Long)] = {
     requireReadable(asOf)
     val out = mutable.ArrayBuilder.make[(K, V, Long)]
     layers.foreach { layer =>

@@ -99,7 +99,7 @@ class BatchSpineSpec extends AnyFunSuite {
     val spine = new Spine[Long, String, Long]()
     spine.advanceCompaction(Frontier(10L))
     spine.advanceCompaction(Frontier(5L)) // ignored
-    assert(spine.compactionFrontier.contains(Frontier(10L)))
+    assert(spine.compactionFrontier == 10L)
   }
 
   test("snapshot returns the consolidated collection sorted by (key, value)") {
@@ -136,11 +136,38 @@ class BatchSpineSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](spine.snapshot(1L))
   }
 
+  test("a compacted spine holds the updates grouped by their Appendix-A representatives") {
+    // rep_F(t) = max(t, f) for a one-epoch frontier; the spine's merges must
+    // agree with the lattice model's `Frontier.rep`, which LatticeSpec checks.
+    for (fuel <- Seq(0L, 1L, 8L); f <- Seq(1L, 7L, 20L, 31L)) {
+      val rng   = new Random(43 + fuel)
+      val spine = new Spine[Long, String, Long](fuel)
+      val all   = mutable.ArrayBuffer.empty[(Long, String, Long, Long)]
+      for (epoch <- 1L to 30L) {
+        val ups = randomUpdates(rng, 30, epoch)
+        all ++= ups
+        spine.insert(Batch.fromUpdates(Frontier(epoch), Frontier(epoch + 1), ups))
+      }
+      // Every layer is merged again after the frontier moves, so every time
+      // passes through a merge at the final frontier.
+      assert(spine.layerCount >= 3, s"fuel=$fuel: ${spine.layerCount} layers")
+      val frontier = Frontier(f)
+      spine.advanceCompaction(frontier)
+      spine.compactAll()
+      val expected = all
+        .groupMapReduce { case (k, v, t, _) => (k, v, frontier.rep(t)) }(_._4)(_ + _)
+        .collect { case ((k, v, t), d) if d != 0L => (k, v, t, d) }
+        .toVector.sortBy(u => (u._1, u._2, u._3))
+      assert(spine.batches.length == 1, s"fuel=$fuel f=$f")
+      assert(spine.batches.head.updates == expected, s"fuel=$fuel f=$f")
+    }
+  }
+
   /** The columnar invariants of one batch: keys strictly increasing, values
     * strictly increasing within a key, times strictly increasing within a
     * (key, value), no empty key or value, and no zero diff.
     */
-  private def assertLayout[K, V, T](b: Batch[K, V, T], clue: String): Unit = {
+  private def assertLayout[K, V](b: Batch[K, V], clue: String): Unit = {
     assert(b.keyOffs.length == b.keyCount + 1 && b.keyOffs(0) == 0 && b.keyOffs(b.keyCount) == b.valueCount, clue)
     assert(b.valOffs.length == b.valueCount + 1 && b.valOffs(0) == 0 && b.valOffs(b.valueCount) == b.size, clue)
     for (i <- 1 until b.keyCount) assert(b.ordK.lt(b.key(i - 1), b.key(i)), s"$clue: keys at $i")
@@ -152,37 +179,31 @@ class BatchSpineSpec extends AnyFunSuite {
     for (j <- 0 until b.valueCount) {
       assert(b.valOffs(j) < b.valOffs(j + 1), s"$clue: value $j has no time")
       for (r <- b.valOffs(j) + 1 until b.valOffs(j + 1))
-        assert(b.lattice.totalOrder.lt(b.time(r - 1), b.time(r)), s"$clue: times at $r")
+        assert(b.times(r - 1) < b.times(r), s"$clue: times at $r")
     }
     assert(b.diffs.forall(_ != 0L), s"$clue: zero diff")
   }
 
-  /** Random epochs of updates into a compacting spine, checking the layout of
-    * every minted and merged batch, and reads against naive accumulation at
-    * every `reads(epoch)` time (all beyond that epoch's frontier). Epoch `e`'s
-    * batch spans `[start(e), start(e + 1))` and holds times `time(rng, e)`.
+  /** Random epochs of updates into a spine compacting to three epochs back,
+    * checking the layout of every minted and merged batch, and reads against
+    * naive accumulation at every time from that frontier to the epoch.
     */
-  private def checkColumnar[T](fuel: Long)(
-      start: Long => T,
-      time: (Random, Long) => T,
-      frontier: Long => Frontier[T],
-      reads: Long => Seq[T],
-  )(implicit lat: Lattice[T]): Unit = {
+  private def checkColumnar(fuel: Long): Unit = {
     val rng   = new Random(41 + fuel)
-    val spine = new Spine[Long, String, T](fuel)
-    val all   = mutable.ArrayBuffer.empty[(Long, String, T, Long)]
+    val spine = new Spine[Long, String, Long](fuel)
+    val all   = mutable.ArrayBuffer.empty[(Long, String, Long, Long)]
     for (epoch <- 1L to 60L) {
       val ups = Seq.fill(rng.nextInt(40))(
-        (rng.nextInt(15).toLong, "v" + rng.nextInt(4), time(rng, epoch), rng.nextInt(5).toLong - 2L))
+        (rng.nextInt(15).toLong, "v" + rng.nextInt(4), epoch, rng.nextInt(5).toLong - 2L))
       all ++= ups
-      val batch = Batch.fromUpdates(Frontier(start(epoch)), Frontier(start(epoch + 1L)), ups)
+      val batch = Batch.fromUpdates(Frontier(epoch), Frontier(epoch + 1L), ups)
       assertLayout(batch, s"fuel=$fuel minted at $epoch")
       spine.insert(batch)
-      spine.advanceCompaction(frontier(epoch))
+      spine.advanceCompaction(Frontier(math.max(0L, epoch - 3L)))
       spine.batches.foreach(assertLayout(_, s"fuel=$fuel spine after $epoch"))
-      for (asOf <- reads(epoch)) {
+      for (asOf <- Seq(epoch - 3L, epoch - 1L, epoch).filter(_ >= 0L)) {
         val naive = mutable.HashMap.empty[(Long, String), Long]
-        all.foreach { case (k, v, t, d) => if (lat.lteq(t, asOf)) naive.updateWith((k, v))(p => Some(p.getOrElse(0L) + d)) }
+        all.foreach { case (k, v, t, d) => if (t <= asOf) naive.updateWith((k, v))(p => Some(p.getOrElse(0L) + d)) }
         val expected = naive.iterator.filter(_._2 != 0L).map { case ((k, v), d) => (k, v, d) }.toVector.sortBy(u => (u._1, u._2))
         assert(spine.snapshot(asOf) == expected, s"fuel=$fuel epoch=$epoch asOf=$asOf")
         for (k <- 0L until 15L)
@@ -195,18 +216,6 @@ class BatchSpineSpec extends AnyFunSuite {
   }
 
   test("columnar layout and reads hold through fuelled merges and compaction (Long times)") {
-    for (fuel <- Seq(1L, 8L, 1000000L))
-      checkColumnar[Long](fuel)(e => e, (_, e) => e, e => Frontier(math.max(0L, e - 3L)), e => Seq(e - 3L, e - 1L, e).filter(_ >= 0L))
-  }
-
-  test("columnar layout and reads hold through fuelled merges and compaction ((Long, Long) times)") {
-    // Iterations within an epoch; the two-element frontier {(e-2, 1), (e-4, 3)}
-    // advances every epoch and exercises rep_F beyond the single-element case.
-    for (fuel <- Seq(1L, 8L, 1000000L))
-      checkColumnar[(Long, Long)](fuel)(
-        e => (e, 0L),
-        (rng, e) => (e, rng.nextInt(4).toLong),
-        e => Frontier((e - 2L, 1L), (e - 4L, 3L)),
-        e => for (a <- Seq(e - 1L, e); b <- 1L to 4L) yield (a, b))
+    for (fuel <- Seq(1L, 8L, 1000000L)) checkColumnar(fuel)
   }
 }

@@ -200,6 +200,60 @@ class EngineSpec extends AnyFunSuite {
     eng.close()
   }
 
+  test("each step compacts every owned trace to the new epoch: reads at it work, earlier reads fail") {
+    val eng = new Engine(2)
+    try {
+      val df  = eng.newDataflow()
+      val in  = df.newInput[(Long, Int)]()
+      val arr = in.stream.arrangeBy(identity)
+      val cnt = arr.count
+      val rng = new Random(47)
+      for (_ <- 1 to 5) {
+        in.send(randomUpdates(rng, 20))
+        eng.step()
+        val e = eng.epoch
+        assert(df.ownedSpines.length == 4 && df.ownedSpines.forall(_.compactionFrontier == e), s"epoch $e")
+        for (s <- 0 until eng.workers; k <- 0L until 12L) {
+          arr.accumulate(s, k, e)
+          intercept[IllegalArgumentException](arr.accumulate(s, k, e - 1L))
+        }
+        cnt.shardSnapshot(1, e)
+        intercept[IllegalArgumentException](cnt.shardSnapshot(1, e - 1L))
+      }
+    } finally eng.close()
+  }
+
+  test("reads through an arrangement whose dataflow was retired fail loudly; retiring a reader does not") {
+    for (direct <- Seq(false, true)) {
+      val eng = new Engine(2)
+      try {
+        val df1 = eng.newDataflow()
+        val in  = df1.newInput[(Long, Int)]()
+        val arr = in.stream.arrangeBy(identity)
+        in.send(Seq(((1L, 10), 1L)))
+        eng.step()
+        // Retiring a reader leaves its source working, as before.
+        val df2 = eng.newDataflow()
+        arr.importInto(df2).count
+        eng.step()
+        df2.retire()
+        in.send(Seq(((2L, 20), 1L)))
+        eng.step()
+        assert(arr.snapshot().toSet == Set((1L, 10, 1L), (2L, 20, 1L)))
+        // A live reader of a retired source fails on the next step.
+        val df3    = eng.newDataflow()
+        val probes = df3.newInput[(Long, Int)]().stream.arrangeBy(identity)
+        val reader = if (direct) probes.join(arr)((k, _, w) => (k, w)) else arr.importInto(df3).count.changes
+        eng.step()
+        df1.retire()
+        val e = intercept[IllegalStateException](eng.step())
+        assert(e.getMessage.contains("retired"), s"direct=$direct")
+        intercept[IllegalStateException](arr.snapshot())
+        assert(reader.dataflow eq df3)
+      } finally eng.close()
+    }
+  }
+
   test("FeedbackLoop reaches a fixpoint: transitive closure on a small cyclic graph") {
     val edges = Seq((1L, 2L), (2L, 3L), (3L, 1L), (3L, 4L))
     val eng = new Engine(2)
