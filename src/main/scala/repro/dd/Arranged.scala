@@ -15,8 +15,10 @@ trait ArrangedView[K, V] {
 
   private[dd] def engine: Engine = dataflow.engine
 
-  /** This epoch's minted batch for shard `s`, sorted by (key, value). */
-  private[dd] def currentShard(s: Int): IndexedSeq[(K, V, Long)]
+  /** Shard `s`'s delta this epoch: the batch its arrange (or reduce) operator
+    * minted, with one time per `(key, value)`.
+    */
+  private[dd] def currentShard(s: Int): Batch[K, V]
 
   /** Accumulated multiset for `k` in shard `s` at time `asOf`, from this
     * reader's point of view (imports rebase history to their install epoch).
@@ -26,12 +28,13 @@ trait ArrangedView[K, V] {
   /** Full accumulated collection at the engine's current epoch. */
   def snapshot(): IndexedSeq[(K, V, Long)] = {
     val now   = engine.epoch
-    val parts = new Array[IndexedSeq[(K, V, Long)]](engine.workers)
+    val parts = new Array[Batch[K, V]](engine.workers)
     engine.parallel(engine.workers)(s => parts(s) = shardSnapshot(s, now))
-    parts.iterator.flatten.toVector
+    parts.iterator.flatMap(_.deltaRows).toVector
   }
 
-  private[dd] def shardSnapshot(s: Int, asOf: Long): IndexedSeq[(K, V, Long)]
+  /** Shard `s`'s accumulated collection at `asOf`, as one batch at `asOf`. */
+  private[dd] def shardSnapshot(s: Int, asOf: Long): Batch[K, V]
 
   // ------------------------------------------------------------- operators
 
@@ -40,19 +43,7 @@ trait ArrangedView[K, V] {
     * delta batches — seeks into the other trace, never scans of it — which is
     * what makes attaching new dataflows to large shared arrangements cheap.
     */
-  def join[V2, O](other: ArrangedView[K, V2])(f: (K, V, V2) => O): Stream[O] =
-    joinWith[V2, O](other)((out, k, v, v2, d) => out += ((f(k, v, v2), d)))
-
-  /** [[join]] where each match yields any number of outputs. */
-  def joinFlat[V2, O](other: ArrangedView[K, V2])(f: (K, V, V2) => IterableOnce[O]): Stream[O] =
-    joinWith[V2, O](other)((out, k, v, v2, d) => f(k, v, v2).iterator.foreach(o => out += ((o, d))))
-
-  /** Appends the outputs of one join match `(k, v, v2)` with diff `d`; a
-    * trait rather than a `Function5`, which would box `d` on every match.
-    */
-  private trait Emit[V2, O] { def apply(out: mutable.Growable[(O, Long)], k: K, v: V, v2: V2, d: Long): Unit }
-
-  private def joinWith[V2, O](other: ArrangedView[K, V2])(emit: Emit[V2, O]): Stream[O] = {
+  def join[V2, O](other: ArrangedView[K, V2])(f: (K, V, V2) => O): Stream[O] = {
     require(other.engine eq engine, "joined arrangements must share an engine")
     val df  = Dataflows.later(dataflow, other.dataflow)
     val out = new Stream[O](df)
@@ -63,20 +54,8 @@ trait ArrangedView[K, V] {
         val results = new Array[IndexedSeq[(O, Long)]](engine.workers)
         engine.parallel(engine.workers) { s =>
           val buf = Vector.newBuilder[(O, Long)]
-          foreachKeyRun(a.currentShard(s)) { (k, rows) =>
-            val matches = b.accumulate(s, k, epoch - 1L)
-            if (matches.nonEmpty)
-              rows.foreach { case (_, v, d) =>
-                matches.foreach { case (v2, d2) => emit(buf, k, v, v2, d * d2) }
-              }
-          }
-          foreachKeyRun(b.currentShard(s)) { (k, rows) =>
-            val matches = a.accumulate(s, k, epoch)
-            if (matches.nonEmpty)
-              rows.foreach { case (_, v2, d2) =>
-                matches.foreach { case (v, d) => emit(buf, k, v, v2, d * d2) }
-              }
-          }
+          probe(a.currentShard(s), b, s, epoch - 1L, buf)(f)
+          probe(b.currentShard(s), a, s, epoch, buf)((k, v2: V2, v: V) => f(k, v, v2))
           results(s) = buf.result()
         }
         out.delta = results.toIndexedSeq.flatten
@@ -85,16 +64,22 @@ trait ArrangedView[K, V] {
     out
   }
 
-  private def foreachKeyRun[W](rows: IndexedSeq[(K, W, Long)])(f: (K, IndexedSeq[(K, W, Long)]) => Unit): Unit = {
-    var i = 0
-    while (i < rows.length) {
-      val k = rows(i)._1
-      var j = i + 1
-      while (j < rows.length && ordK.equiv(rows(j)._1, k)) j += 1
-      f(k, rows.slice(i, j))
-      i = j
+  /** One half of the bilinear rule: each `(k, x)` of `delta` matched against
+    * `other`'s accumulation for `k` at `asOf`, one seek per delta key.
+    */
+  private def probe[X, Y, O](delta: Batch[K, X], other: ArrangedView[K, Y], s: Int, asOf: Long, out: mutable.Growable[(O, Long)])(
+      g: (K, X, Y) => O,
+  ): Unit =
+    for (i <- 0 until delta.keyCount) {
+      val k       = delta.key(i)
+      val matches = other.accumulate(s, k, asOf)
+      if (matches.nonEmpty)
+        for (j <- delta.keyOffs(i) until delta.keyOffs(i + 1)) {
+          val x = delta.value(j)
+          val d = delta.valueDiff(j)
+          matches.foreach { case (y, d2) => out += ((g(k, x, y), d * d2)) }
+        }
     }
-  }
 
   /** Incremental grouped reduction (§5.3.2): for each key touched this epoch,
     * re-form the accumulated input, apply `f`, diff against the accumulated
@@ -107,8 +92,10 @@ trait ArrangedView[K, V] {
     df.register(new Op {
       def advance(epoch: Long): Unit = {
         engine.parallel(engine.workers) { s =>
-          val rows = new BatchBuilder[K, O](in.currentShard(s).length)
-          foreachKeyRun(in.currentShard(s)) { (k, _) =>
+          val delta = in.currentShard(s)
+          val rows  = new BatchBuilder[K, O](delta.valueCount, delta.keyCount, delta.valueCount)
+          for (i <- 0 until delta.keyCount) {
+            val k      = delta.key(i)
             val input  = in.accumulate(s, k, epoch)
             val target = mutable.HashMap.empty[O, Long]
             if (input.nonEmpty)
@@ -122,7 +109,6 @@ trait ArrangedView[K, V] {
           }
           out.mint(s, rows.result(Frontier(epoch), Frontier(epoch + 1L)))
         }
-        out.publish()
       }
     })
     out
@@ -172,19 +158,18 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
 
   dataflow.ownedSpines ++= spines
 
-  private[dd] val current: Array[IndexedSeq[(K, V, Long)]] =
-    Array.fill(dataflow.engine.workers)(Vector.empty)
-
-  private var changesRead = false
+  private[dd] val current: Array[Batch[K, V]] =
+    Array.fill(dataflow.engine.workers)(Batch.empty[K, V])
 
   /** Per-epoch delta of the arranged collection, as a stream of ((k, v), diff).
-    * Built on first access; only from then on does [[publish]] fill it.
+    * Built on first access as an operator that reads the minted batches each
+    * epoch: after the operator that mints them, before any reader of it.
     */
   lazy val changes: Stream[(K, V)] = {
-    val s = new Stream[(K, V)](dataflow)
-    s.delta = changeRows
-    changesRead = true
-    s
+    val out = new Stream[(K, V)](dataflow)
+    out.delta = changeRows
+    dataflow.register(new Op { def advance(epoch: Long): Unit = out.delta = changeRows })
+    out
   }
 
   /** Reads through an arrangement whose dataflow is retired would see its
@@ -194,25 +179,22 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
     if (dataflow.isRetired)
       throw new IllegalStateException(s"arrangement of dataflow ${dataflow.index} is read after that dataflow was retired")
 
-  private[dd] def currentShard(s: Int): IndexedSeq[(K, V, Long)] = { requireLive(); current(s) }
+  private[dd] def currentShard(s: Int): Batch[K, V] = { requireLive(); current(s) }
 
   /** Insert shard `s`'s batch minted this epoch; it becomes the shard's delta. */
   private[dd] def mint(s: Int, batch: Batch[K, V]): Unit = {
     spines(s).insert(batch)
-    current(s) = batch.deltaRows
+    current(s) = batch
   }
 
-  /** Publish this epoch's minted batches, all shards, on [[changes]]. */
-  private[dd] def publish(): Unit = if (changesRead) changes.delta = changeRows
-
   private def changeRows: IndexedSeq[((K, V), Long)] =
-    current.iterator.flatMap(_.iterator.map { case (k, v, d) => ((k, v), d) }).toVector
+    current.iterator.flatMap(_.deltaRows.iterator.map { case (k, v, d) => ((k, v), d) }).toVector
 
   private[dd] def accumulate(s: Int, k: K, asOf: Long): IndexedSeq[(V, Long)] = {
     requireLive(); spines(s).accumulate(k, asOf)
   }
 
-  private[dd] def shardSnapshot(s: Int, asOf: Long): IndexedSeq[(K, V, Long)] = {
+  private[dd] def shardSnapshot(s: Int, asOf: Long): Batch[K, V] = {
     requireLive(); spines(s).snapshot(asOf)
   }
 
@@ -236,13 +218,14 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
         engine.parallel(engine.workers) { s =>
           // The private re-indexing the paper's unshared baseline pays: the
           // whole collection on install, every update after. The source's
-          // rows arrive sorted and consolidated, so they append in order.
-          val rows  = if (first) src.shardSnapshot(s, epoch) else src.currentShard(s)
-          val batch = new BatchBuilder[K, V](rows.length, values = rows.length)
-          rows.foreach { case (k, v, d) => batch.group(k, v); batch.push(epoch, d) }
+          // batch is sorted and consolidated, so its rows append in order.
+          val from  = if (first) src.shardSnapshot(s, epoch) else src.currentShard(s)
+          val batch = new BatchBuilder[K, V](from.valueCount, from.keyCount, from.valueCount)
+          for (i <- 0 until from.keyCount; j <- from.keyOffs(i) until from.keyOffs(i + 1)) {
+            batch.group(from.key(i), from.value(j)); batch.push(epoch, from.valueDiff(j))
+          }
           dst.mint(s, batch.result(Frontier(epoch), Frontier(epoch + 1L)))
         }
-        dst.publish()
         first = false
       }
     })
@@ -263,8 +246,7 @@ final class ImportedArranged[K, V] private[dd] (
   implicit def ordV: Ordering[V] = source.ordV
 
   private var installAt: Long = -1L
-  private val current: Array[IndexedSeq[(K, V, Long)]] =
-    new Array[IndexedSeq[(K, V, Long)]](source.dataflow.engine.workers)
+  private val current: Array[Batch[K, V]] = new Array[Batch[K, V]](source.dataflow.engine.workers)
 
   def advance(epoch: Long): Unit = {
     if (installAt < 0L) {
@@ -276,14 +258,14 @@ final class ImportedArranged[K, V] private[dd] (
     }
   }
 
-  private[dd] def currentShard(s: Int): IndexedSeq[(K, V, Long)] = current(s)
+  private[dd] def currentShard(s: Int): Batch[K, V] = current(s)
 
   private[dd] def accumulate(s: Int, k: K, asOf: Long): IndexedSeq[(V, Long)] =
     if (installAt >= 0L && asOf < installAt) Vector.empty
     else source.accumulate(s, k, asOf)
 
-  private[dd] def shardSnapshot(s: Int, asOf: Long): IndexedSeq[(K, V, Long)] =
-    if (installAt >= 0L && asOf < installAt) Vector.empty
+  private[dd] def shardSnapshot(s: Int, asOf: Long): Batch[K, V] =
+    if (installAt >= 0L && asOf < installAt) Batch.empty
     else source.shardSnapshot(s, asOf)
 
   def importInto(df2: Dataflow): ImportedArranged[K, V] = source.importInto(df2)

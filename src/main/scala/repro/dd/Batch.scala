@@ -55,24 +55,29 @@ final class Batch[K, V] private[dd] (
     if (i < keys.length && ordK.equiv(key(i), k)) i else -1
   }
 
-  /** The `(key, value, diff)` rows, each value's diffs summed over its times:
-    * for a batch minted at one time, the epoch's delta it carries.
+  /** Value `j`'s diffs summed over its times: for a batch that holds one time
+    * per `(key, value)`, such as a minted delta or a snapshot, its one diff.
+    */
+  private[dd] def valueDiff(j: Int): Long = {
+    var d = 0L
+    var r = valOffs(j)
+    while (r < valOffs(j + 1)) { d += diffs(r); r += 1 }
+    d
+  }
+
+  /** This batch's keys and values at the one time `t`, value `j` with the
+    * nonzero diff `sums(j)`, over `[t, t + 1)`. The new batch shares the key
+    * and value columns, which no batch mutates.
+    */
+  private[dd] def at(t: Long, sums: Array[Long]): Batch[K, V] =
+    new Batch(Frontier(t), Frontier(t + 1L), keys, keyOffs, vals, Array.range(0, vals.length + 1), Array.fill(vals.length)(t), sums)
+
+  /** The `(key, value, diff)` rows with diffs summed by [[valueDiff]], built
+    * on demand for callers outside the kernel; operators read the columns.
     */
   private[dd] def deltaRows: IndexedSeq[(K, V, Long)] = {
     val out = new Array[(K, V, Long)](vals.length)
-    var i = 0
-    while (i < keys.length) {
-      val k = key(i)
-      var j = keyOffs(i)
-      while (j < keyOffs(i + 1)) {
-        var d = 0L
-        var r = valOffs(j)
-        while (r < valOffs(j + 1)) { d += diffs(r); r += 1 }
-        out(j) = (k, value(j), d)
-        j += 1
-      }
-      i += 1
-    }
+    for (i <- 0 until keys.length; j <- keyOffs(i) until keyOffs(i + 1)) out(j) = (key(i), value(j), valueDiff(j))
     ArraySeq.unsafeWrapArray(out)
   }
 
@@ -85,6 +90,10 @@ final class Batch[K, V] private[dd] (
 }
 
 object Batch {
+
+  /** A batch with no rows, over the empty time range at epoch 0. */
+  private[dd] def empty[K, V](implicit ordK: Ordering[K], ordV: Ordering[V]): Batch[K, V] =
+    new BatchBuilder[K, V](0, 0, 0).result(Frontier(0L), Frontier(0L))
 
   /** Sort, consolidate and index raw update triples into a batch. */
   def fromUpdates[K, V](

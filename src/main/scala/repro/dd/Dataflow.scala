@@ -197,7 +197,6 @@ final class Stream[D] private[dd] (val dataflow: Dataflow) {
         eng.exchange(delta) { case (d, diff) => val (k, v) = kv(d); (k, v, epoch, diff) }(_._1.hashCode) { (s, rows) =>
           arr.mint(s, Batch.fromUpdates(Frontier(epoch), Frontier(epoch + 1L), rows))
         }
-        arr.publish()
       }
     })
     arr

@@ -2,7 +2,6 @@ package repro.dd
 
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
-import scala.reflect.ClassTag
 
 /** A collection trace (§4.1): an append-only list of immutable indexed batches
   * maintained with *amortized* (fuelled) merging so that the trace always
@@ -191,73 +190,77 @@ final class Spine[K, V, T <: Long](val fuelPerRecord: Long = 8L)(implicit
     d
   }
 
+  /** Orders an accumulation's `(value, diff)` entries by value. */
+  private val byValue: Ordering[(V, Long)] = (x, y) => ordV.compare(x._1, y._1)
+
   /** The accumulated multiset of values for key `k` at time `asOf`: net diffs
     * over updates with `time ≤ asOf`, zero-entries dropped, sorted by value.
     * `asOf` must be beyond the compaction frontier (§4.3).
     */
   def accumulate(k: K, asOf: Long): IndexedSeq[(V, Long)] = {
     requireReadable(asOf)
-    val out     = mutable.ArrayBuilder.make[(V, Long)]
+    // Find `k` in each layer once, and size the output by the values it holds.
+    val at      = new Array[Int](layers.length)
     var holders = 0
-    layers.foreach { layer =>
-      val i = layer.find(k)
-      if (i >= 0) {
-        holders += 1
-        var j = layer.keyOffs(i)
-        while (j < layer.keyOffs(i + 1)) {
+    var n       = 0
+    var l       = 0
+    while (l < at.length) {
+      val i = layers(l).find(k)
+      at(l) = i
+      if (i >= 0) { holders += 1; n += layers(l).keyOffs(i + 1) - layers(l).keyOffs(i) }
+      l += 1
+    }
+    val out = new Array[(V, Long)](n)
+    var m   = 0
+    l = 0
+    while (l < at.length) {
+      if (at(l) >= 0) {
+        val layer = layers(l)
+        var j     = layer.keyOffs(at(l))
+        while (j < layer.keyOffs(at(l) + 1)) {
           val d = sumAt(layer, j, asOf)
-          if (d != 0L) out += ((layer.value(j), d))
+          if (d != 0L) { out(m) = (layer.value(j), d); m += 1 }
           j += 1
         }
       }
+      l += 1
     }
-    // Each layer yields its values in order; several layers need a merge.
-    if (holders <= 1) ArraySeq.unsafeWrapArray(out.result())
-    else consolidate(out.result(), Ordering.by[(V, Long), V](_._1)(ordV))(_._2, (x, d) => (x._1, d))
+    // Each layer yields its values in order; several layers need a merge,
+    // which sums equal values in place (the sort exploits the sorted runs).
+    if (holders > 1) {
+      java.util.Arrays.sort(out, 0, m, byValue)
+      var w = 0
+      var r = 0
+      while (r < m) {
+        var e = r + 1
+        var d = out(r)._2
+        while (e < m && ordV.equiv(out(e)._1, out(r)._1)) { d += out(e)._2; e += 1 }
+        if (d != 0L) { out(w) = if (e == r + 1) out(r) else (out(r)._1, d); w += 1 }
+        r = e
+      }
+      m = w
+    }
+    ArraySeq.unsafeWrapArray(if (m == n) out else java.util.Arrays.copyOf(out, m))
   }
 
-  /** Full accumulated snapshot at `asOf`, sorted by (key, value). */
-  def snapshot(asOf: Long): IndexedSeq[(K, V, Long)] = {
-    requireReadable(asOf)
-    val out = mutable.ArrayBuilder.make[(K, V, Long)]
-    layers.foreach { layer =>
-      var i = 0
-      while (i < layer.keyCount) {
-        val k = layer.key(i)
-        var j = layer.keyOffs(i)
-        while (j < layer.keyOffs(i + 1)) {
-          val d = sumAt(layer, j, asOf)
-          if (d != 0L) out += ((k, layer.value(j), d))
-          j += 1
-        }
-        i += 1
-      }
-    }
-    if (layers.length <= 1) ArraySeq.unsafeWrapArray(out.result())
-    else {
-      val byKeyValue: Ordering[(K, V, Long)] = (x, y) => {
-        val ck = ordK.compare(x._1, y._1)
-        if (ck != 0) ck else ordV.compare(x._2, y._2)
-      }
-      consolidate(out.result(), byKeyValue)(_._3, (x, d) => (x._1, x._2, d))
-    }
-  }
-
-  /** Sort `xs` by `ord` and sum the diffs of equal entries, dropping zeros.
-    * Reads gather one sorted run per layer, which the (merging) sort exploits.
+  /** The accumulated collection at `asOf` as one batch at time `asOf`, with
+    * one row per `(key, value)` whose net diff is not zero.
     */
-  private def consolidate[A <: AnyRef: ClassTag](xs: Array[A], ord: Ordering[A])(diff: A => Long, withDiff: (A, Long) => A): IndexedSeq[A] = {
-    java.util.Arrays.sort(xs, ord)
-    val out = mutable.ArrayBuilder.make[A]
-    var i = 0
-    while (i < xs.length) {
-      val x = xs(i)
-      var d = 0L
-      var j = i
-      while (j < xs.length && ord.equiv(xs(j), x)) { d += diff(xs(j)); j += 1 }
-      if (d != 0L) out += (if (j == i + 1) x else withDiff(x, d))
-      i = j
+  def snapshot(asOf: Long): Batch[K, V] = {
+    requireReadable(asOf)
+    // One layer holds each (key, value) once and in order, so when none of
+    // its sums is zero the snapshot keeps the layer's key and value columns.
+    if (layers.length == 1) {
+      val layer = layers(0)
+      val sums  = Array.tabulate(layer.valueCount)(sumAt(layer, _, asOf))
+      if (!sums.contains(0L)) return layer.at(asOf, sums)
     }
-    ArraySeq.unsafeWrapArray(out.result())
+    // Otherwise the nonzero sums are gathered, sorted and consolidated.
+    val rows = mutable.ArrayBuffer.empty[(K, V, Long, Long)]
+    for (layer <- layers; i <- 0 until layer.keyCount; j <- layer.keyOffs(i) until layer.keyOffs(i + 1)) {
+      val d = sumAt(layer, j, asOf)
+      if (d != 0L) rows += ((layer.key(i), layer.value(j), asOf, d))
+    }
+    Batch.fromUpdates(Frontier(asOf), Frontier(asOf + 1L), rows)
   }
 }

@@ -108,8 +108,8 @@ class BatchSpineSpec extends AnyFunSuite {
       Seq((2L, "b", 1L, 1L), (1L, "a", 1L, 2L))))
     spine.insert(Batch.fromUpdates(Frontier(2L), Frontier(3L),
       Seq((1L, "a", 2L, -2L), (3L, "c", 2L, 1L))))
-    assert(spine.snapshot(2L) == Vector((2L, "b", 1L), (3L, "c", 1L)))
-    assert(spine.snapshot(1L) == Vector((1L, "a", 2L), (2L, "b", 1L)))
+    assert(spine.snapshot(2L).deltaRows == Vector((2L, "b", 1L), (3L, "c", 1L)))
+    assert(spine.snapshot(1L).deltaRows == Vector((1L, "a", 2L), (2L, "b", 1L)))
   }
 
   test("eager vs lazy fuel reach the same final state (different merge schedules)") {
@@ -131,7 +131,7 @@ class BatchSpineSpec extends AnyFunSuite {
     spine.insert(Batch.fromUpdates(Frontier(2L), Frontier(3L), Seq((1L, "b", 2L, 1L))))
     spine.advanceCompaction(Frontier(2L))
     assert(spine.accumulate(1L, 2L) == Vector(("a", 1L), ("b", 1L)))
-    assert(spine.snapshot(3L) == Vector((1L, "a", 1L), (1L, "b", 1L)))
+    assert(spine.snapshot(3L).deltaRows == Vector((1L, "a", 1L), (1L, "b", 1L)))
     intercept[IllegalArgumentException](spine.accumulate(1L, 1L))
     intercept[IllegalArgumentException](spine.snapshot(1L))
   }
@@ -184,14 +184,40 @@ class BatchSpineSpec extends AnyFunSuite {
     assert(b.diffs.forall(_ != 0L), s"$clue: zero diff")
   }
 
+  /** The snapshot batch at `asOf`: a valid layout, every time `asOf`, bounds
+    * `[asOf, asOf + 1)`, and rows equal to the naive accumulation. Returns
+    * which way the spine read it: from several layers (or none), or from
+    * one layer whose values all have nonzero sums or not.
+    */
+  private def checkSnapshot(spine: Spine[Long, String, Long], asOf: Long, expected: Seq[(Long, String, Long)], clue: String): String = {
+    val snap = spine.snapshot(asOf)
+    assertLayout(snap, s"$clue snapshot")
+    assert(snap.times.forall(_ == asOf), clue)
+    assert(snap.lower == Frontier(asOf) && snap.upper == Frontier(asOf + 1L), clue)
+    assert(snap.deltaRows == expected, clue)
+    if (spine.layerCount != 1) "several layers"
+    else if (snap.valueCount == spine.batches.head.valueCount) "one layer"
+    else "one layer with zero sums"
+  }
+
   /** Random epochs of updates into a spine compacting to three epochs back,
     * checking the layout of every minted and merged batch, and reads against
-    * naive accumulation at every time from that frontier to the epoch.
+    * naive accumulation at every time from that frontier to the epoch, then
+    * after a full compaction; snapshots are read every way the spine has.
     */
   private def checkColumnar(fuel: Long): Unit = {
     val rng   = new Random(41 + fuel)
     val spine = new Spine[Long, String, Long](fuel)
     val all   = mutable.ArrayBuffer.empty[(Long, String, Long, Long)]
+    val ways  = mutable.Set.empty[String]
+    def check(asOf: Long, clue: String): Unit = {
+      val naive = mutable.HashMap.empty[(Long, String), Long]
+      all.foreach { case (k, v, t, d) => if (t <= asOf) naive.updateWith((k, v))(p => Some(p.getOrElse(0L) + d)) }
+      val expected = naive.iterator.filter(_._2 != 0L).map { case ((k, v), d) => (k, v, d) }.toVector.sortBy(u => (u._1, u._2))
+      ways += checkSnapshot(spine, asOf, expected, s"$clue asOf=$asOf")
+      for (k <- 0L until 15L)
+        assert(spine.accumulate(k, asOf) == expected.collect { case (`k`, v, d) => (v, d) }, s"$clue asOf=$asOf key=$k")
+    }
     for (epoch <- 1L to 60L) {
       val ups = Seq.fill(rng.nextInt(40))(
         (rng.nextInt(15).toLong, "v" + rng.nextInt(4), epoch, rng.nextInt(5).toLong - 2L))
@@ -201,18 +227,12 @@ class BatchSpineSpec extends AnyFunSuite {
       spine.insert(batch)
       spine.advanceCompaction(Frontier(math.max(0L, epoch - 3L)))
       spine.batches.foreach(assertLayout(_, s"fuel=$fuel spine after $epoch"))
-      for (asOf <- Seq(epoch - 3L, epoch - 1L, epoch).filter(_ >= 0L)) {
-        val naive = mutable.HashMap.empty[(Long, String), Long]
-        all.foreach { case (k, v, t, d) => if (t <= asOf) naive.updateWith((k, v))(p => Some(p.getOrElse(0L) + d)) }
-        val expected = naive.iterator.filter(_._2 != 0L).map { case ((k, v), d) => (k, v, d) }.toVector.sortBy(u => (u._1, u._2))
-        assert(spine.snapshot(asOf) == expected, s"fuel=$fuel epoch=$epoch asOf=$asOf")
-        for (k <- 0L until 15L)
-          assert(spine.accumulate(k, asOf) == expected.collect { case (`k`, v, d) => (v, d) },
-            s"fuel=$fuel epoch=$epoch asOf=$asOf key=$k")
-      }
+      for (asOf <- Seq(epoch - 3L, epoch - 1L, epoch).filter(_ >= 0L)) check(asOf, s"fuel=$fuel epoch=$epoch")
     }
     spine.compactAll()
     spine.batches.foreach(assertLayout(_, s"fuel=$fuel compacted"))
+    for (asOf <- 57L to 60L) check(asOf, s"fuel=$fuel compacted")
+    assert(ways == Set("several layers", "one layer", "one layer with zero sums"), s"fuel=$fuel")
   }
 
   test("columnar layout and reads hold through fuelled merges and compaction (Long times)") {

@@ -62,6 +62,36 @@ class EngineSpec extends AnyFunSuite {
     eng.close()
   }
 
+  test("changes first read epochs after the arrangement was built carries that epoch's delta, then each later one") {
+    for (w <- Seq(1, 2)) {
+      val eng = new Engine(w)
+      try {
+        val df1 = eng.newDataflow()
+        val in  = df1.newInput[(Long, Int)]()
+        val arr = in.stream.arrangeBy(identity)
+        val rng = new Random(53)
+        def epochOf(ups: Seq[((Long, Int), Long)]): Set[((Long, Int), Long)] =
+          ups.groupMapReduce(_._1)(_._2)(_ + _).filter(_._2 != 0L).toSet
+        var last = Seq.empty[((Long, Int), Long)]
+        for (_ <- 1 to 3) { last = randomUpdates(rng, 10); in.send(last); eng.step() }
+        // A later dataflow reads the stream for the first time.
+        val df2 = eng.newDataflow()
+        val own = df2.newInput[(Long, Int)]()
+        val ch  = arr.changes
+        val out = own.stream.concat(ch)
+        assert(out.dataflow eq df2)
+        assert(ch.currentDelta.toSet == epochOf(last), s"workers=$w epoch 3")
+        for (e <- 4 to 6) {
+          last = randomUpdates(rng, 10)
+          in.send(last)
+          eng.step()
+          assert(ch.currentDelta.toSet == epochOf(last), s"workers=$w epoch $e")
+          assert(out.currentDelta.toSet == epochOf(last), s"workers=$w epoch $e")
+        }
+      } finally eng.close()
+    }
+  }
+
   for (workers <- Seq(1, 4))
     test(s"incremental join equals naive recomputation every epoch (workers=$workers)") {
       val eng = new Engine(workers)
@@ -174,11 +204,15 @@ class EngineSpec extends AnyFunSuite {
     eng.step()
     assert(copy.snapshot() == arrA.snapshot())
     assert(eng.totalTuples == 2 * base, "copy duplicates the index")
+    // The copy re-indexes into batches of its own; it holds none of the source's.
+    def batches(a: Arranged[Long, Int]) = a.spines.iterator.flatMap(_.batches).toVector
+    assert(batches(copy).forall(c => !batches(arrA).exists(_ eq c)))
 
     // Updates maintain both; the copy tracks the source.
     inA.send(Seq(((3L, 999), 1L)))
     eng.step()
     assert(copy.snapshot() == arrA.snapshot())
+    assert(batches(copy).forall(c => !batches(arrA).exists(_ eq c)))
 
     df2.retire()
     assert(eng.totalTuples == base + 1L, "retiring the query frees its private state")
