@@ -9,22 +9,15 @@ import org.apache.spark.sql.functions._
   * State is a DataFrame keyed by `groupCols` holding partial aggregates.
   * Each epoch's pre-aggregated delta is merged by union + re-aggregation;
   * `localCheckpoint` materializes the state and truncates lineage so plan
-  * depth stays constant across epochs. Aggregation functions are restricted
-  * to merge-able ones (`sum`, `min`, `max`, with counts as sums) over exact
-  * integer columns so results are independent of merge order.
+  * depth stays constant across epochs. Every aggregate is a `sum` (counts
+  * are sums of 1) over an exact integer column, so results are independent
+  * of merge order and retractions subtract.
   */
-final class IncrementalAgg(groupCols: Seq[String], aggs: Seq[(String, String)]) {
+final class IncrementalAgg(groupCols: Seq[String], sumCols: Seq[String]) {
 
   private var state: Option[DataFrame] = None
 
-  private def mergeExprs: Seq[Column] = aggs.map { case (c, fn) =>
-    (fn match {
-      case "sum" => sum(col(c))
-      case "min" => min(col(c))
-      case "max" => max(col(c))
-      case other => throw new IllegalArgumentException(s"non-mergeable aggregate: $other")
-    }).as(c)
-  }
+  private def mergeExprs: Seq[Column] = sumCols.map(c => sum(col(c)).as(c))
 
   private def aggregate(rows: DataFrame): DataFrame =
     if (groupCols.isEmpty) rows.agg(mergeExprs.head, mergeExprs.tail: _*)

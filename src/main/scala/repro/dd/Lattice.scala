@@ -68,11 +68,6 @@ final case class Frontier[T] private (elements: Vector[T])(implicit val lattice:
     */
   def indistinguishable(t1: T, t2: T): Boolean =
     if (elements.isEmpty) true else rep(t1) == rep(t2)
-
-  /** True when every element of `other` is beyond this frontier — i.e. this
-    * frontier is no later than `other`.
-    */
-  def precedesOrEquals(other: Frontier[T]): Boolean = other.elements.forall(beyond)
 }
 
 object Frontier {

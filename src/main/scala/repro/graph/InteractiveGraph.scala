@@ -96,7 +96,6 @@ final class InteractiveGraph(val engine: Engine, shared: Boolean) {
     .concat(answersAt(levels(3), 4L))
     .arrangeBy(identity)
     .reduceMin
-  val pathResults: ResultSink[((Long, Long), Long)] = new ResultSink(pathOut.changes)
 
   /** (query, shortestLen) for currently installed path queries. */
   def pathSnapshot(): Map[(Long, Long), Long] =

@@ -10,9 +10,11 @@ import repro.graph.{Baselines, BatchGraph, GraphGen}
   */
 object BatchGraphHarness {
 
-  final case class GraphSpec(name: String, n: Int, edges: Array[(Long, Long)], paperDD1: String)
+  private final case class GraphSpec(name: String, n: Int, edges: Array[(Long, Long)], paperDD1: String)
 
-  def defaultGraphs: Seq[GraphSpec] = Seq(
+  // The configuration EXPERIMENTS.md reports.
+  private val WorkerCounts = Seq(1, 4, 8)
+  private def graphs: Seq[GraphSpec] = Seq(
     GraphSpec("livejournal-lite", 30000, GraphGen.uniform(30000, 150000, seed = 61L),
       "index-f 4.4s reach 8.5s sssp 13.1s wcc 24.0s"),
     GraphSpec("orkut-lite", 20000, GraphGen.uniform(20000, 250000, seed = 62L),
@@ -21,7 +23,7 @@ object BatchGraphHarness {
       "index-f 162s reach 257s sssp 311s wcc 800s"),
   )
 
-  def run(workerCounts: Seq[Int] = Seq(1, 4, 8), graphs: Seq[GraphSpec] = defaultGraphs): String = {
+  def run(): String = {
     val out = new StringBuilder
     for (g <- graphs) {
       val weighted = GraphGen.weighted(g.edges, seed = 64L)
@@ -42,7 +44,7 @@ object BatchGraphHarness {
         Seq("single thread (hash)", "-", Fmt.ms(bfsH), Fmt.ms(dijH), "-", Fmt.ms(ufH)),
       )
 
-      val dd = workerCounts.map { w =>
+      val dd = WorkerCounts.map { w =>
         val eng = new Engine(w)
         val (fwd, tIdxF)  = Fmt.timeMs(BatchGraph.indexForward(eng, g.edges))
         val (wIdx, _)     = Fmt.timeMs(BatchGraph.indexWeighted(eng, weighted))

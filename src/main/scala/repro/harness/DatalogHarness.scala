@@ -12,28 +12,30 @@ import scala.util.Random
   */
 object DatalogHarness {
 
-  final case class Graphs(
-      tree: Array[(Long, Long)] = GraphGen.tree(2, 9),
-      grid: Array[(Long, Long)] = GraphGen.grid(20, 20),
-      gnp: Array[(Long, Long)]  = GraphGen.gnp(500, 0.004, seed = 81L),
-  )
+  // The configuration EXPERIMENTS.md reports.
+  private val Tree    = GraphGen.tree(2, 9)
+  private val Grid    = GraphGen.grid(20, 20)
+  private val Gnp     = GraphGen.gnp(500, 0.004, seed = 81L)
+  private val Workers = 8
+  private val Seeds   = 20
+  private val WorkerCounts = Seq(1, 4, 8)
 
-  /** Figure 8: per-seed incremental latencies (median/max over `seeds`
+  /** Figure 8: per-seed incremental latencies (median/max over `Seeds`
     * random arguments) vs. full evaluation without shared arrangements.
     */
-  def fig8(workers: Int = 8, seeds: Int = 20, g: Graphs = Graphs()): String = {
+  def fig8(): String = {
     val rng = new Random(82L)
     val paper = Map( // Fig. 8: (tc(x,?) med ms, tc(?,x) med ms, sg(x,?) med ms, tc full s, sg full s)
       "tree" -> (2.56, 15.63, 68.34, 0.08, 56.45),
       "grid" -> (346.28, 320.83, 1075.11, 6.18, 0.60),
       "gnp"  -> (18.29, 15.58, 20.08, 9.45, 19.85),
     )
-    val rows = Seq("tree" -> g.tree, "grid" -> g.grid, "gnp" -> g.gnp).map { case (name, edges) =>
-      val eng = new Engine(workers)
+    val rows = Seq("tree" -> Tree, "grid" -> Grid, "gnp" -> Gnp).map { case (name, edges) =>
+      val eng = new Engine(Workers)
       val fwd = BatchGraph.indexForward(eng, edges)
       val rev = BatchGraph.indexReverse(eng, edges)
       val nodes = edges.flatMap(e => Seq(e._1, e._2)).distinct
-      val pick  = Seq.fill(seeds)(nodes(rng.nextInt(nodes.length)))
+      val pick  = Seq.fill(Seeds)(nodes(rng.nextInt(nodes.length)))
 
       val tcF = pick.map(x => Fmt.timeMs(Datalog.tcFromSeed(eng, fwd, x))._2)
       val tcT = pick.map(x => Fmt.timeMs(Datalog.tcToSeed(eng, rev, x))._2)
@@ -50,7 +52,7 @@ object DatalogHarness {
         s"${pTc}ms/${pTcR}ms/${pSg}ms", s"${pTcFull}s/${pSgFull}s")
     }
     Fmt.table(
-      s"Fig 8 (interactive Datalog, $workers workers, $seeds seeds; med/max)",
+      s"Fig 8 (interactive Datalog, $Workers workers, $Seeds seeds; med/max)",
       Seq("graph", "tc(x,?)", "tc(?,x)", "sg(x,?)", "tc full", "sg full",
           "paper increm med", "paper full"),
       rows,
@@ -58,18 +60,15 @@ object DatalogHarness {
   }
 
   /** Figure 17: full tc/sg evaluation, scaling across workers. */
-  def fig17(workerCounts: Seq[Int] = Seq(1, 4, 8), g: Graphs = Graphs()): String = {
-    val paper = Map( // Fig. 17, DD 32 workers (s)
-      "tc(t)" -> 7.18, "tc(g)" -> 6.18, "tc(r)" -> 9.45,
-      "sg(t)" -> 56.45, "sg(g)" -> 0.60, "sg(r)" -> 19.85)
-    val rows = workerCounts.map { w =>
+  def fig17(): String = {
+    val rows = WorkerCounts.map { w =>
       val eng  = new Engine(w)
-      val fwdT = BatchGraph.indexForward(eng, g.tree)
-      val fwdG = BatchGraph.indexForward(eng, g.grid)
-      val fwdR = BatchGraph.indexForward(eng, g.gnp)
-      val (_, tcT) = Fmt.timeMs(Datalog.tcFull(eng, fwdT, g.tree))
-      val (_, tcG) = Fmt.timeMs(Datalog.tcFull(eng, fwdG, g.grid))
-      val (_, tcR) = Fmt.timeMs(Datalog.tcFull(eng, fwdR, g.gnp))
+      val fwdT = BatchGraph.indexForward(eng, Tree)
+      val fwdG = BatchGraph.indexForward(eng, Grid)
+      val fwdR = BatchGraph.indexForward(eng, Gnp)
+      val (_, tcT) = Fmt.timeMs(Datalog.tcFull(eng, fwdT, Tree))
+      val (_, tcG) = Fmt.timeMs(Datalog.tcFull(eng, fwdG, Grid))
+      val (_, tcR) = Fmt.timeMs(Datalog.tcFull(eng, fwdR, Gnp))
       val (_, sgT) = Fmt.timeMs(Datalog.sgFull(eng, fwdT))
       val (_, sgG) = Fmt.timeMs(Datalog.sgFull(eng, fwdG))
       val (_, sgR) = Fmt.timeMs(Datalog.sgFull(eng, fwdR))

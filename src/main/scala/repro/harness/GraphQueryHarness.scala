@@ -12,7 +12,11 @@ import scala.util.Random
   */
 object GraphQueryHarness {
 
-  final case class Config(workers: Int = 8, nodes: Int = 100000, edges: Int = 640000, trials: Int = 5)
+  // The configuration EXPERIMENTS.md reports.
+  private val Workers = 8
+  private val Nodes   = 50000
+  private val Edges   = 320000
+  private val Trials  = 3
 
   // Paper Fig. 6, DD latencies (ms) for batch sizes 1, 10, 100, 1000.
   private val paper = Map(
@@ -22,19 +26,19 @@ object GraphQueryHarness {
     "4-path"  -> Seq(1.89, 2.79, 8.01, 72.20),
   )
 
-  def run(cfg: Config = Config()): String = {
+  def run(): String = {
     val rng   = new Random(71L)
-    val edges = GraphGen.uniform(cfg.nodes, cfg.edges, seed = 72L)
-    val nodes = (0 until cfg.nodes).map(i => (i.toLong, i.toLong * 7L))
+    val edges = GraphGen.uniform(Nodes, Edges, seed = 72L)
+    val nodes = (0 until Nodes).map(i => (i.toLong, i.toLong * 7L))
 
-    val eng = new Engine(cfg.workers)
+    val eng = new Engine(Workers)
     val ig  = new InteractiveGraph(eng, shared = true)
     ig.loadGraph(nodes, edges)
     // Memory footprint of the standing dataflows, measured at matching
     // points (right after graph load, before query churn).
     val mem = ig.memoryTuples
     val memU = {
-      val engU = new Engine(cfg.workers)
+      val engU = new Engine(Workers)
       val igU  = new InteractiveGraph(engU, shared = false)
       igU.loadGraph(nodes, edges)
       val m = igU.memoryTuples
@@ -42,12 +46,12 @@ object GraphQueryHarness {
       m
     }
 
-    def v(): Long = rng.nextInt(cfg.nodes).toLong
+    def v(): Long = rng.nextInt(Nodes).toLong
 
     val batchSizes = Seq(1, 10, 100, 1000)
     def bench(insert: Int => Unit, retract: Int => Unit): Seq[Double] =
       batchSizes.map { b =>
-        val times = (1 to cfg.trials).map { _ =>
+        val times = (1 to Trials).map { _ =>
           val (_, t) = Fmt.timeMs { insert(b); ig.step() }
           retract(b); ig.step()
           t
@@ -68,7 +72,7 @@ object GraphQueryHarness {
 
     // Unindexed scan baseline: evaluate one query by scanning the edge list.
     def scanBaseline(f: Long => Unit): Double =
-      Fmt.median((1 to cfg.trials).map { _ => Fmt.timeMs(f(v()))._2 })
+      Fmt.median((1 to Trials).map { _ => Fmt.timeMs(f(v()))._2 })
     val scanLookup = scanBaseline { x => nodes.find(_._1 == x) }
     val scanOneHop = scanBaseline { x => edges.count(_._1 == x) }
     val scanTwoHop = scanBaseline { x =>
@@ -90,7 +94,7 @@ object GraphQueryHarness {
         Seq(Fmt.ms(paper(name).head), Fmt.ms(paper(name).last))
 
     Fmt.table(
-      s"Fig 6 (interactive graph queries, ${cfg.nodes} nodes / ${cfg.edges} edges, ${cfg.workers} workers)",
+      s"Fig 6 (interactive graph queries, $Nodes nodes / $Edges edges, $Workers workers)",
       header,
       Seq(
         row("look-up", scanLookup, lookup),

@@ -11,6 +11,10 @@ import repro.tpch._
   */
 object TpchHarness {
 
+  // The configuration EXPERIMENTS.md reports; the scale factor comes from the caller.
+  private val Epochs    = 4
+  private val BatchRows = 100000
+
   /** The ten-query interactive mix of §6.1.1: eight windowed lineitem
     * queries plus two of the static (non-lineitem) queries.
     */
@@ -37,15 +41,15 @@ object TpchHarness {
     * delta and the maintenance of dimension indexes under orders churn
     * (shared: one index maintained once; unshared: per-query copies).
     */
-  def sharing(spark: SparkSession, sf: Double = 0.1, epochs: Int = 4): String = {
+  def sharing(spark: SparkSession, sf: Double): String = {
     val tables = TpchData.cached(spark, sf)
     // Orders churn: hold back a small slice of orders, delivered per epoch.
     val Array(ordersBase, ordersDelta) = tables.orders.randomSplit(Array(0.9, 0.1), seed = 11L)
     ordersBase.persist().count()
-    val ordersSlices = ordersDelta.randomSplit(Array.fill(epochs)(1.0), seed = 12L)
+    val ordersSlices = ordersDelta.randomSplit(Array.fill(Epochs)(1.0), seed = 12L)
     ordersSlices.foreach { df => df.persist(); df.count() }
     val tablesBase = tables.copy(orders = ordersBase)
-    val eps        = slices(tables, epochs)
+    val eps        = slices(tables, Epochs)
     val out        = new StringBuilder
 
     val rows = for (shared <- Seq(true, false)) yield {
@@ -90,7 +94,7 @@ object TpchHarness {
       )
     }
     out ++= Fmt.table(
-      s"Fig 1 (TPC-H sharing, SF=$sf, ${mix.size} standing queries, $epochs epochs)",
+      s"Fig 1 (TPC-H sharing, SF=$sf, ${mix.size} standing queries, $Epochs epochs)",
       Seq("mode", "install p50", "install max", "update p50", "update max", "index rows", "index bytes"),
       rows,
     )
@@ -98,13 +102,13 @@ object TpchHarness {
   }
 
   /** Figure 12: streaming update rates (tuples/second) per query, logical
-    * batches of `batchRows`, shared arrangements. Static (non-lineitem)
+    * batches of `BatchRows`, shared arrangements. Static (non-lineitem)
     * queries do not observe the stream and are reported as "static".
     */
-  def streamingRates(spark: SparkSession, sf: Double = 0.1, batchRows: Int = 100000): String = {
+  def streamingRates(spark: SparkSession, sf: Double): String = {
     val tables   = TpchData.cached(spark, sf)
     val total    = tables.lineitem.count()
-    val nBatches = math.max(1, (total / batchRows).toInt)
+    val nBatches = math.max(1, (total / BatchRows).toInt)
     val eps      = slices(tables, nBatches)
     val reg      = new ArrangementRegistry(spark)
 
@@ -131,7 +135,7 @@ object TpchHarness {
     }
     reg.clear()
     Fmt.table(
-      s"Fig 12 (TPC-H streaming rates, SF=$sf, batches of $batchRows)",
+      s"Fig 12 (TPC-H streaming rates, SF=$sf, batches of $BatchRows)",
       Seq("query", "tuples/s (measured)", "tuples/s (paper DD w=1)"),
       rows,
     )
@@ -141,7 +145,7 @@ object TpchHarness {
     * batch plans) and on DuckDB (the modern single-node comparator standing
     * in for HyPer), vs. the paper's numbers.
     */
-  def batchElapsed(spark: SparkSession, sf: Double = 0.1): String = {
+  def batchElapsed(spark: SparkSession, sf: Double): String = {
     val tables = TpchData.cached(spark, sf)
     val conn   = Oracle.load(tables.byName.toSeq: _*)
 

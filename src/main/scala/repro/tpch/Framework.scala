@@ -43,14 +43,14 @@ final case class StreamingLite(
     dims: Seq[DimSpec],
     rows: (DataFrame, Map[String, DataFrame]) => DataFrame,
     groupCols: Seq[String],
-    aggs: Seq[(String, String)],
+    sumCols: Seq[String],
     finalizeDf: (DataFrame, Map[String, DataFrame]) => DataFrame,
     duckSql: String,
 ) extends LiteQuery {
   def usesLineitem = true
   def batch(t: TpchTables): DataFrame = {
     val dimMap = t.byName
-    val agg    = new IncrementalAgg(groupCols, aggs)
+    val agg    = new IncrementalAgg(groupCols, sumCols)
     agg.merge(rows(t.lineitem, dimMap))
     finalizeDf(agg.snapshot, dimMap)
   }
@@ -155,7 +155,7 @@ object QueryInstance {
     var staticResult: Option[DataFrame]   = None
     query match {
       case q: StreamingLite =>
-        val a = new IncrementalAgg(q.groupCols, q.aggs)
+        val a = new IncrementalAgg(q.groupCols, q.sumCols)
         // Initialize state with an empty window so the schema exists and the
         // first result (empty, correct for a windowed query) is available.
         a.merge(q.rows(tables.lineitem.limit(0), dimMap))

@@ -48,8 +48,7 @@ object TpchQueries {
         lit(1L) as "count_order",
       ),
     groupCols = Seq("l_returnflag", "l_linestatus"),
-    aggs = Seq("sum_qty_c" -> "sum", "sum_base_c" -> "sum", "sum_disc_c" -> "sum",
-               "sum_charge_c" -> "sum", "count_order" -> "sum"),
+    sumCols = Seq("sum_qty_c", "sum_base_c", "sum_disc_c", "sum_charge_c", "count_order"),
     finalizeDf = (s, _) => s,
     duckSql = s"""
       SELECT l_returnflag, l_linestatus,
@@ -96,7 +95,7 @@ object TpchQueries {
               col("o_custkey") === col("c_custkey"))
         .select(col("l_orderkey"), col("o_orderdate"), revC as "revenue_c"),
     groupCols = Seq("l_orderkey", "o_orderdate"),
-    aggs = Seq("revenue_c" -> "sum"),
+    sumCols = Seq("revenue_c"),
     finalizeDf = (s, _) => s,
     duckSql = s"""
       SELECT l_orderkey, o_orderdate, SUM($dRev) AS revenue_c
@@ -118,7 +117,7 @@ object TpchQueries {
               col("l_orderkey") === col("o_orderkey"))
         .select(col("o_orderkey"), col("o_orderpriority"), lit(1L) as "qual_cnt"),
     groupCols = Seq("o_orderkey", "o_orderpriority"),
-    aggs = Seq("qual_cnt" -> "sum"),
+    sumCols = Seq("qual_cnt"),
     finalizeDf = (s, _) => s.groupBy("o_orderpriority").agg(count(lit(1)) as "order_count"),
     duckSql = """
       SELECT o_orderpriority, COUNT(*) AS order_count
@@ -145,7 +144,7 @@ object TpchQueries {
         .filter(col("r_name") === "ASIA")
         .select(col("n_name"), revC as "revenue_c"),
     groupCols = Seq("n_name"),
-    aggs = Seq("revenue_c" -> "sum"),
+    sumCols = Seq("revenue_c"),
     finalizeDf = (s, _) => s,
     duckSql = s"""
       SELECT n_name, SUM($dRev) AS revenue_c
@@ -167,7 +166,7 @@ object TpchQueries {
                col("l_discount").between(0.05, 0.07) && col("l_quantity") < 24)
         .select(cents(col("l_extendedprice") * col("l_discount")) as "revenue6_c"),
     groupCols = Nil,
-    aggs = Seq("revenue6_c" -> "sum"),
+    sumCols = Seq("revenue6_c"),
     finalizeDf = (s, _) => s,
     duckSql = s"""
       SELECT SUM(${dC("l_extendedprice * l_discount")}) AS revenue6_c
@@ -196,7 +195,7 @@ object TpchQueries {
                 year(col("l_shipdate")) as "l_year", revC as "volume_c")
     },
     groupCols = Seq("supp_nation", "cust_nation", "l_year"),
-    aggs = Seq("volume_c" -> "sum"),
+    sumCols = Seq("volume_c"),
     finalizeDf = (s, _) => s,
     duckSql = s"""
       SELECT n1.n_name AS supp_nation, n2.n_name AS cust_nation,
@@ -233,7 +232,7 @@ object TpchQueries {
                 when(col("n1_name") === "BRAZIL", revC).otherwise(0L) as "brazil_c")
     },
     groupCols = Seq("o_year"),
-    aggs = Seq("total_c" -> "sum", "brazil_c" -> "sum"),
+    sumCols = Seq("total_c", "brazil_c"),
     finalizeDf = (s, _) => s,
     duckSql = s"""
       SELECT year(o_orderdate) AS o_year,
@@ -263,7 +262,7 @@ object TpchQueries {
         .select(col("n_name") as "nation", year(col("o_orderdate")) as "o_year",
                 (revC - cents(col("ps_supplycost") * col("l_quantity"))) as "amount_c"),
     groupCols = Seq("nation", "o_year"),
-    aggs = Seq("amount_c" -> "sum"),
+    sumCols = Seq("amount_c"),
     finalizeDf = (s, _) => s,
     duckSql = s"""
       SELECT n_name AS nation, year(o_orderdate) AS o_year,
@@ -289,7 +288,7 @@ object TpchQueries {
         .join(dim(m, "nation"), col("c_nationkey") === col("n_nationkey"))
         .select(col("c_custkey"), col("n_name"), revC as "revenue_c"),
     groupCols = Seq("c_custkey", "n_name"),
-    aggs = Seq("revenue_c" -> "sum"),
+    sumCols = Seq("revenue_c"),
     finalizeDf = (s, _) => s,
     duckSql = s"""
       SELECT c_custkey, n_name, SUM($dRev) AS revenue_c
@@ -342,7 +341,7 @@ object TpchQueries {
                 when(col("o_orderpriority").isin("1-URGENT", "2-HIGH"), 1L).otherwise(0L) as "high_c",
                 when(col("o_orderpriority").isin("1-URGENT", "2-HIGH"), 0L).otherwise(1L) as "low_c"),
     groupCols = Seq("l_shipmode"),
-    aggs = Seq("high_c" -> "sum", "low_c" -> "sum"),
+    sumCols = Seq("high_c", "low_c"),
     finalizeDf = (s, _) => s,
     duckSql = """
       SELECT l_shipmode,
@@ -384,7 +383,7 @@ object TpchQueries {
         .select(revC as "total_c",
                 when(col("p_type") === "PROMO", revC).otherwise(0L) as "promo_c"),
     groupCols = Nil,
-    aggs = Seq("total_c" -> "sum", "promo_c" -> "sum"),
+    sumCols = Seq("total_c", "promo_c"),
     finalizeDf = (s, _) => s,
     duckSql = s"""
       SELECT SUM($dRev) AS total_c,
@@ -402,7 +401,7 @@ object TpchQueries {
       l.filter(col("l_shipdate") >= "1996-01-01" && col("l_shipdate") < "1996-04-01")
         .select(col("l_suppkey"), revC as "total_c"),
     groupCols = Seq("l_suppkey"),
-    aggs = Seq("total_c" -> "sum"),
+    sumCols = Seq("total_c"),
     finalizeDf = (s, _) => {
       val m = s.agg(max(col("total_c"))).first()
       if (m.isNullAt(0)) s.limit(0) else s.filter(col("total_c") === m.getLong(0))
@@ -442,7 +441,7 @@ object TpchQueries {
         .filter(col("l_quantity") < lit(0.2) * col("p_size"))
         .select(cents(col("l_extendedprice")) as "total17_c"),
     groupCols = Nil,
-    aggs = Seq("total17_c" -> "sum"),
+    sumCols = Seq("total17_c"),
     finalizeDf = (s, _) => s,
     duckSql = s"""
       SELECT SUM(${dC("l_extendedprice")}) AS total17_c
@@ -459,7 +458,7 @@ object TpchQueries {
       l.join(dim(m, "orders"), col("l_orderkey") === col("o_orderkey"))
         .select(col("o_orderkey"), col("o_custkey"), cents(col("l_quantity")) as "sum_qty_c"),
     groupCols = Seq("o_orderkey", "o_custkey"),
-    aggs = Seq("sum_qty_c" -> "sum"),
+    sumCols = Seq("sum_qty_c"),
     finalizeDf = (s, _) => s.filter(col("sum_qty_c") > 15000L),
     duckSql = s"""
       SELECT o_orderkey, o_custkey, SUM($dQty) AS sum_qty_c
@@ -480,7 +479,7 @@ object TpchQueries {
           (col("p_type") === "LARGE" && col("l_quantity").between(20, 30) && col("p_size").between(1, 15))))
         .select(revC as "revenue19_c"),
     groupCols = Nil,
-    aggs = Seq("revenue19_c" -> "sum"),
+    sumCols = Seq("revenue19_c"),
     finalizeDf = (s, _) => s,
     duckSql = s"""
       SELECT SUM($dRev) AS revenue19_c
@@ -499,7 +498,7 @@ object TpchQueries {
       l.filter(col("l_shipdate") >= "1994-01-01" && col("l_shipdate") < "1995-01-01")
         .select(col("l_partkey"), col("l_suppkey"), cents(col("l_quantity")) as "qty_c"),
     groupCols = Seq("l_partkey", "l_suppkey"),
-    aggs = Seq("qty_c" -> "sum"),
+    sumCols = Seq("qty_c"),
     finalizeDf = (s, m) =>
       s.join(dim(m, "partsupp"),
              col("ps_partkey") === col("l_partkey") && col("ps_suppkey") === col("l_suppkey"))
@@ -536,7 +535,7 @@ object TpchQueries {
               col("s_nationkey") === col("n_nationkey"))
         .select(col("s_suppkey"), lit(1L) as "numwait"),
     groupCols = Seq("s_suppkey"),
-    aggs = Seq("numwait" -> "sum"),
+    sumCols = Seq("numwait"),
     finalizeDf = (s, _) => s,
     duckSql = """
       SELECT s_suppkey, COUNT(*) AS numwait

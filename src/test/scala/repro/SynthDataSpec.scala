@@ -50,12 +50,4 @@ class SynthDataSpec extends SparkSpec {
     val large = SynthData.orders(spark, 0.01).count()
     assert(math.abs(large - 10 * small) <= 10)
   }
-
-  test("zipf keys are skewed; uniform keys are not") {
-    val z = SynthData.zipfKeys(spark, 20000, 1000).groupBy("k").count()
-    val u = SynthData.uniformKeys(spark, 20000, 1000).groupBy("k").count()
-    val zMax = z.agg(max("count")).first().getLong(0)
-    val uMax = u.agg(max("count")).first().getLong(0)
-    assert(zMax > 3 * uMax, s"zipf max=$zMax uniform max=$uMax")
-  }
 }

@@ -100,11 +100,4 @@ class LatticeSpec extends AnyFunSuite {
     val f = Frontier.empty[Long]
     assert(f.indistinguishable(1L, 99L))
   }
-
-  test("precedesOrEquals orders frontiers by advancement") {
-    val f1 = Frontier(2L)
-    val f2 = Frontier(5L)
-    assert(f1.precedesOrEquals(f2) && !f2.precedesOrEquals(f1))
-    assert(f1.precedesOrEquals(f1))
-  }
 }
