@@ -77,23 +77,21 @@ final class InteractiveGraph(val engine: Engine, shared: Boolean) {
     h1.join(edgeView(dfH2))((_, v, dst2) => (v, dst2))
   )
 
-  // ----- query class 4: shortest path of length <= 4 between (s, t).
+  // ----- query class 4: shortest path of length <= 4 between (s, t). Level
+  // k's answers are read off its hop from level k - 1 (with a walk count as
+  // diff, which `reduceMin` keeps while positive); only levels 1-3 are
+  // arranged, since only they are extended.
   private val dfP = engine.newDataflow()
   val pathArgs: Input[(Long, Long)] = dfP.newInput[(Long, Long)]()
   private val pathEdges = edgeView(dfP)
-  private val frontier0 = pathArgs.stream.arrangeBy { case (s, t) => (s, (s, t)) }
-  private def expand(prev: ArrangedView[Long, (Long, Long)]): Arranged[Long, (Long, Long)] =
-    prev.join(pathEdges)((_, q, nxt) => (nxt, q)).arrangeBy(identity).distinct
-  private val levels: Seq[Arranged[Long, (Long, Long)]] = {
-    val f1 = expand(frontier0); val f2 = expand(f1); val f3 = expand(f2); val f4 = expand(f3)
-    Seq(f1, f2, f3, f4)
+  private def hop(prev: ArrangedView[Long, (Long, Long)]): Stream[(Long, (Long, Long))] =
+    prev.join(pathEdges)((_, q, nxt) => (nxt, q))
+  private val hops = Seq.iterate(hop(pathArgs.stream.arrangeBy { case (s, t) => (s, (s, t)) }), 4) {
+    h => hop(h.arrangeBy(identity).distinct)
   }
-  private def answersAt(f: Arranged[Long, (Long, Long)], len: Long): Stream[((Long, Long), Long)] =
-    f.changes.filter { case (n, q) => n == q._2 }.map { case (_, q) => (q, len) }
-  private val pathOut = answersAt(levels(0), 1L)
-    .concat(answersAt(levels(1), 2L))
-    .concat(answersAt(levels(2), 3L))
-    .concat(answersAt(levels(3), 4L))
+  private val pathOut = hops.zipWithIndex
+    .map { case (h, i) => h.filter { case (n, q) => n == q._2 }.map { case (_, q) => (q, i + 1L) } }
+    .reduce(_ concat _)
     .arrangeBy(identity)
     .reduceMin
 

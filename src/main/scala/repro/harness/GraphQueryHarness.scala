@@ -93,15 +93,29 @@ object GraphQueryHarness {
       Seq(name, Fmt.ms(scan)) ++ dd.map(Fmt.ms) ++
         Seq(Fmt.ms(paper(name).head), Fmt.ms(paper(name).last))
 
-    Fmt.table(
+    val rows = Seq(
+      ("look-up", scanLookup, lookup),
+      ("one-hop", scanOneHop, onehop),
+      ("two-hop", scanTwoHop, twohop),
+      ("4-path", scanPath, path),
+    )
+    val report = Fmt.table(
       s"Fig 6 (interactive graph queries, $Nodes nodes / $Edges edges, $Workers workers)",
       header,
-      Seq(
-        row("look-up", scanLookup, lookup),
-        row("one-hop", scanOneHop, onehop),
-        row("two-hop", scanTwoHop, twohop),
-        row("4-path", scanPath, path),
-      ),
+      rows.map { case (name, scan, dd) => row(name, scan, dd) },
     ) + f"memory (tuples): shared=$mem%d  unshared=$memU%d  ratio=${memU.toDouble / mem}%.1fx (paper: ~4x)\n"
+    checkShape(mem, memU, rows)
+    report
+  }
+
+  /** The paper's Fig. 6 shape: unshared state exceeds shared, and indexed
+    * two-hop and 4-path queries at b=1 beat one scan. Throws naming the
+    * first cell that breaks it; `rows` are (query, scan 1q, DD latencies).
+    */
+  private[harness] def checkShape(mem: Long, memU: Long, rows: Seq[(String, Double, Seq[Double])]): Unit = {
+    if (memU <= mem)
+      throw new IllegalStateException(s"Fig 6 memory: unshared=$memU is not above shared=$mem")
+    for ((query, scan, dd) <- rows if query == "two-hop" || query == "4-path"; if dd.head >= scan)
+      throw new IllegalStateException(f"Fig 6 $query: DD b=1 ${dd.head}%.2f ms is not below scan 1q $scan%.2f ms")
   }
 }

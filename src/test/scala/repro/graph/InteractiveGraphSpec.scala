@@ -20,14 +20,15 @@ class InteractiveGraphSpec extends AnyFunSuite {
 
   private def naiveShortest(edges: Set[(Long, Long)], s: Long, t: Long): Option[Long] = {
     val adj = edges.groupBy(_._1).view.mapValues(_.map(_._2)).toMap
-    var frontier = Set(s); val seen = mutable.HashSet(s)
-    for (len <- 1L to 4L) {
-      frontier = frontier.flatMap(u => adj.getOrElse(u, Set.empty)).diff(Set.empty)
-      if (frontier.contains(t)) return Some(len)
-      frontier.foreach(seen.add)
+    var frontier = Set(s)
+    (1L to 4L).find { _ =>
+      frontier = frontier.flatMap(u => adj.getOrElse(u, Set.empty[Long]))
+      frontier.contains(t)
     }
-    None
   }
+
+  private def naivePaths(edges: Set[(Long, Long)], args: Iterable[(Long, Long)]): Map[(Long, Long), Long] =
+    args.flatMap { case (s, t) => naiveShortest(edges, s, t).map(l => ((s, t), l)) }.toMap
 
   for (shared <- Seq(true, false)) {
     test(s"all four query classes match naive evaluation (shared=$shared)") {
@@ -46,10 +47,7 @@ class InteractiveGraphSpec extends AnyFunSuite {
       assert(ig.lookupResults.contents == Set((3L, 21L), (9L, 63L)))
       assert(ig.oneHopResults.contents == eset.filter(_._1 == 5L).map { case (s, d) => (s, d) })
       assert(ig.twoHopResults.contents == naiveTwoHop(eset, 7L))
-      val expPaths = Seq((0L, 11L), (4L, 4L)).flatMap { case (s, t) =>
-        naiveShortest(eset, s, t).map(l => ((s, t), l))
-      }.toMap
-      assert(ig.pathSnapshot() == expPaths)
+      assert(ig.pathSnapshot() == naivePaths(eset, Seq((0L, 11L), (4L, 4L))))
       eng.close()
     }
   }
@@ -97,5 +95,78 @@ class InteractiveGraphSpec extends AnyFunSuite {
     assert(igU.memoryTuples > 2 * igS.memoryTuples,
       s"unshared=${igU.memoryTuples} shared=${igS.memoryTuples}")
     engS.close(); engU.close()
+  }
+
+  for (workers <- Seq(1, 4); shared <- Seq(true, false)) {
+    test(s"4-path follows edge churn and argument swaps (workers=$workers, shared=$shared)") {
+      val rng   = new scala.util.Random(35L)
+      val edges = mutable.ArrayBuffer.from(GraphGen.uniform(n, 160, seed = 36L)) // a multiset
+      val eng   = new Engine(workers)
+      val ig    = new InteractiveGraph(eng, shared)
+      ig.loadGraph(nodes, edges)
+
+      // Arguments aim in turn at a random node and at a node that walks from
+      // `s` reach in exactly 1, 2, 3 and 4 hops.
+      def node(): Long = rng.nextInt(n).toLong
+      var made = 0
+      def freshArg(): (Long, Long) = {
+        val s     = node()
+        var reach = Set(s)
+        for (_ <- 1 to made % 5) reach = reach.flatMap(u => edges.collect { case (`u`, d) => d })
+        made += 1
+        (s, if (made % 5 != 1 && reach.nonEmpty) reach.toSeq(rng.nextInt(reach.size)) else node())
+      }
+      val args = mutable.LinkedHashSet.empty[(Long, Long)]
+      while (args.size < 12) args += freshArg()
+      ig.pathArgs.insertAll(args)
+      ig.step()
+      val seen = mutable.Set.empty[Option[Long]]
+      def check(): Unit = {
+        val expected = naivePaths(edges.toSet, args)
+        assert(ig.pathSnapshot() == expected)
+        seen ++= args.iterator.map(expected.get)
+      }
+      check()
+
+      for (_ <- 1 to 8) {
+        // Adds include a second copy of a present edge; removes take one copy.
+        val adds    = Seq.fill(5)((node(), node())).filter(e => e._1 != e._2) :+ edges(rng.nextInt(edges.length))
+        val removes = Seq.fill(5)(edges.remove(rng.nextInt(edges.length)))
+        edges ++= adds
+        ig.updateEdges(adds, removes)
+        val gone = args.toSeq.take(3)
+        args --= gone
+        while (args.size < 12) args += freshArg()
+        ig.pathArgs.removeAll(gone)
+        ig.pathArgs.insertAll(args.toSeq.takeRight(3))
+        ig.step()
+        check()
+      }
+      assert(seen == Set(Some(1L), Some(2L), Some(3L), Some(4L), None), "every outcome exercised")
+      eng.close()
+    }
+
+    test(s"4-path answers lengthen or vanish when their only witness edge goes (workers=$workers, shared=$shared)") {
+      // 0 -> 4 only by a walk of length 4; 5 -> 9 by lengths 3 and 4.
+      val edges = Seq((0L, 1L), (1L, 2L), (2L, 3L), (3L, 4L), (1L, 0L), (5L, 6L), (6L, 7L), (7L, 9L), (7L, 8L), (8L, 9L))
+      val eng   = new Engine(workers)
+      val ig    = new InteractiveGraph(eng, shared)
+      ig.loadGraph(nodes, edges)
+      ig.pathArgs.insertAll(Seq((0L, 4L), (5L, 9L)))
+      ig.step()
+      assert(ig.pathSnapshot() == Map((0L, 4L) -> 4L, (5L, 9L) -> 3L))
+
+      def epoch(adds: Seq[(Long, Long)], removes: Seq[(Long, Long)], expected: Map[(Long, Long), Long]): Unit = {
+        ig.updateEdges(adds, removes)
+        ig.step()
+        assert(ig.pathSnapshot() == expected)
+      }
+      epoch(Seq((2L, 3L)), Nil, Map((0L, 4L) -> 4L, (5L, 9L) -> 3L))       // a second copy of a witness edge
+      epoch(Nil, Seq((2L, 3L), (7L, 9L)), Map((0L, 4L) -> 4L, (5L, 9L) -> 4L))
+      epoch(Nil, Seq((2L, 3L)), Map((5L, 9L) -> 4L))                       // the last copy goes
+      epoch(Nil, Seq((8L, 9L)), Map.empty)
+      epoch(Seq((2L, 3L), (5L, 9L)), Nil, Map((0L, 4L) -> 4L, (5L, 9L) -> 1L))
+      eng.close()
+    }
   }
 }
