@@ -49,7 +49,7 @@ trait ArrangedView[K, V] {
     val out = new Stream[O](df)
     val a   = this
     val b   = other
-    df.register(new Op {
+    engine.register(df, new Op {
       def advance(epoch: Long): Unit = {
         val results = new Array[IndexedSeq[(O, Long)]](engine.workers)
         engine.parallel(engine.workers) { s =>
@@ -89,7 +89,7 @@ trait ArrangedView[K, V] {
     val df  = dataflow
     val out = new Arranged[K, O](df)(ordK, ordO)
     val in  = this
-    df.register(new Op {
+    engine.register(df, new Op {
       def advance(epoch: Long): Unit = {
         engine.parallel(engine.workers) { s =>
           val delta = in.currentShard(s)
@@ -132,15 +132,15 @@ trait ArrangedView[K, V] {
       if (present.hasNext) (present.min(ordV), 1L) :: Nil else Nil
     }(ordV)
 
-  /** Import this arrangement into another (later) dataflow: the post-hoc
-    * sharing of §4.3. The importing dataflow immediately receives the
+  /** Import this arrangement into any dataflow of the engine: the post-hoc
+    * sharing of §4.3. In the next epoch the importer receives the
     * consolidated history as one batch, then mirrors newly minted batches.
     * Cost is proportional to the *reader's* use, not to rebuilding the index.
     */
   def importInto(df2: Dataflow): ImportedArranged[K, V]
 
   /** Build a *private* copy in `df2` — the unshared baseline. Pays full
-    * re-indexing on install and duplicate maintenance every epoch after.
+    * re-indexing in the next epoch and duplicate maintenance every one after.
     */
   def copyInto(df2: Dataflow): Arranged[K, V]
 }
@@ -156,19 +156,19 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
   private[dd] val spines: Array[Spine[K, V, Long]] =
     Array.fill(dataflow.engine.workers)(new Spine[K, V, Long]())
 
-  dataflow.ownedSpines ++= spines
+  engine.own(dataflow, spines)
 
   private[dd] val current: Array[Batch[K, V]] =
     Array.fill(dataflow.engine.workers)(Batch.empty[K, V])
 
   /** Per-epoch delta of the arranged collection, as a stream of ((k, v), diff).
     * Built on first access as an operator that reads the minted batches each
-    * epoch: after the operator that mints them, before any reader of it.
+    * epoch: created after the operator that mints them, before any reader.
     */
   lazy val changes: Stream[(K, V)] = {
     val out = new Stream[(K, V)](dataflow)
     out.delta = changeRows
-    dataflow.register(new Op { def advance(epoch: Long): Unit = out.delta = changeRows })
+    engine.register(dataflow, new Op { def advance(epoch: Long): Unit = out.delta = changeRows })
     out
   }
 
@@ -177,7 +177,7 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
     */
   private def requireLive(): Unit =
     if (dataflow.isRetired)
-      throw new IllegalStateException(s"arrangement of dataflow ${dataflow.index} is read after that dataflow was retired")
+      throw new IllegalStateException(s"arrangement of dataflow ${dataflow.id} is read after that dataflow was retired")
 
   private[dd] def currentShard(s: Int): Batch[K, V] = { requireLive(); current(s) }
 
@@ -198,44 +198,41 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
     requireLive(); spines(s).snapshot(asOf)
   }
 
-  def tupleCount: Long = spines.iterator.map(_.tupleCount).sum
-
   def importInto(df2: Dataflow): ImportedArranged[K, V] = {
     require(df2.engine eq dataflow.engine, "import requires a shared engine")
-    require(df2.index > dataflow.index, "import target must be installed after the source")
     val imp = new ImportedArranged[K, V](df2, this)
-    df2.register(imp)
+    engine.register(df2, imp)
     imp
   }
 
   def copyInto(df2: Dataflow): Arranged[K, V] = {
     require(df2.engine eq dataflow.engine, "copy requires a shared engine")
-    val src = this
-    val dst = new Arranged[K, V](df2)
-    var first = true
-    df2.register(new Op {
+    val src       = this
+    val dst       = new Arranged[K, V](df2)
+    val installAt = engine.epoch + 1L
+    engine.register(df2, new Op {
       def advance(epoch: Long): Unit = {
         engine.parallel(engine.workers) { s =>
           // The private re-indexing the paper's unshared baseline pays: the
           // whole collection on install, every update after. The source's
           // batch is sorted and consolidated, so its rows append in order.
-          val from  = if (first) src.shardSnapshot(s, epoch) else src.currentShard(s)
+          val from  = if (epoch == installAt) src.shardSnapshot(s, epoch) else src.currentShard(s)
           val batch = new BatchBuilder[K, V](from.valueCount, from.keyCount, from.valueCount)
           for (i <- 0 until from.keyCount; j <- from.keyOffs(i) until from.keyOffs(i + 1)) {
             batch.group(from.key(i), from.value(j)); batch.push(epoch, from.valueDiff(j))
           }
           dst.mint(s, batch.result(Frontier(epoch), Frontier(epoch + 1L)))
         }
-        first = false
       }
     })
     dst
   }
 }
 
-/** A trace handle imported into a later dataflow (§4.3): shares the owner's
-  * spines physically, but rebases history so the reader sees the entire
-  * pre-install collection arrive as one batch at its install epoch.
+/** A trace handle imported into a dataflow (§4.3): shares the owner's spines
+  * physically, but rebases history so the reader sees the entire pre-install
+  * collection arrive as one batch at its install epoch, the one after its
+  * creation, and nothing before it.
   */
 final class ImportedArranged[K, V] private[dd] (
     val dataflow: Dataflow,
@@ -245,27 +242,24 @@ final class ImportedArranged[K, V] private[dd] (
   implicit def ordK: Ordering[K] = source.ordK
   implicit def ordV: Ordering[V] = source.ordV
 
-  private var installAt: Long = -1L
-  private val current: Array[Batch[K, V]] = new Array[Batch[K, V]](source.dataflow.engine.workers)
+  private val installAt: Long = engine.epoch + 1L
+  private val current: Array[Batch[K, V]] = new Array[Batch[K, V]](engine.workers)
 
-  def advance(epoch: Long): Unit = {
-    if (installAt < 0L) {
-      installAt = epoch
-      engine.parallel(engine.workers)(s => current(s) = source.shardSnapshot(s, epoch))
-    } else {
+  def advance(epoch: Long): Unit =
+    if (epoch == installAt) engine.parallel(engine.workers)(s => current(s) = source.shardSnapshot(s, epoch))
+    else {
       var s = 0
       while (s < current.length) { current(s) = source.currentShard(s); s += 1 }
     }
-  }
 
   private[dd] def currentShard(s: Int): Batch[K, V] = current(s)
 
   private[dd] def accumulate(s: Int, k: K, asOf: Long): IndexedSeq[(V, Long)] =
-    if (installAt >= 0L && asOf < installAt) Vector.empty
+    if (asOf < installAt) Vector.empty
     else source.accumulate(s, k, asOf)
 
   private[dd] def shardSnapshot(s: Int, asOf: Long): Batch[K, V] =
-    if (installAt >= 0L && asOf < installAt) Batch.empty
+    if (asOf < installAt) Batch.empty
     else source.shardSnapshot(s, asOf)
 
   def importInto(df2: Dataflow): ImportedArranged[K, V] = source.importInto(df2)

@@ -7,55 +7,65 @@ import scala.collection.mutable
   *
   * The engine hosts multiple [[Dataflow]]s (queries) over a common logical
   * time domain of totally ordered epochs (the Spark-Streaming-style time
-  * model of §3.2). Each `step()` advances every installed dataflow by one
-  * epoch, in installation order — coarse-grained coordination. Stateful
+  * model of §3.2). Each `step()` runs every operator of every dataflow in
+  * creation order: an operator reads only streams and arrangements that
+  * existed when it was created, so every producer runs before its readers.
+  * A dataflow is only the unit of retirement. Stateful
   * operators shard their state by key hash across `workers` [[Spine]]s and
   * process shards in parallel; all state interactions are intra-shard, per
   * the paper's hard-partitioning design (§4).
   *
-  * Sharing: an [[Arranged]] built in one dataflow can be read directly by a
-  * later dataflow's join (zero install cost — the windowed-facts idiom), or
-  * [[Arranged.importInto]]-ed (the trace-handle `import` of §4.3: the new
-  * dataflow immediately receives the consolidated history as one large
-  * batch, then mirrors newly minted batches). [[Arranged.copyInto]] is the
-  * *unshared* baseline: it physically re-indexes the full collection into a
-  * private arrangement and duplicates maintenance work each epoch.
+  * Sharing: an [[Arranged]] built in one dataflow can be read directly by
+  * another dataflow's join (zero install cost — the windowed-facts idiom),
+  * or [[Arranged.importInto]]-ed into any dataflow of the engine (the
+  * trace-handle `import` of §4.3: the importer receives the consolidated
+  * history as one large batch at its install epoch, then mirrors newly
+  * minted batches). [[Arranged.copyInto]] is the *unshared* baseline: it
+  * physically re-indexes the full collection into a private arrangement and
+  * duplicates maintenance work each epoch.
   */
 final class Engine(val workers: Int = 1) extends AutoCloseable {
 
   private[dd] val pool: ExecutorService =
     if (workers > 1) Executors.newFixedThreadPool(workers - 1) else null
 
-  private[dd] val dataflows = mutable.ArrayBuffer.empty[Dataflow]
-
-  private var epochVar: Long = 0L
+  /** Every live operator and trace with its dataflow, in creation order. */
+  private val ops        = mutable.ArrayBuffer.empty[(Dataflow, Op)]
+  private[dd] val spines = mutable.ArrayBuffer.empty[(Dataflow, Spine[_, _, Long])]
+  private var dataflows  = 0
+  private var epochVar   = 0L
 
   /** Last completed epoch. */
   def epoch: Long = epochVar
 
   def newDataflow(): Dataflow = {
-    val df = new Dataflow(this, epochVar, dataflows.length)
-    dataflows += df
-    df
+    dataflows += 1
+    new Dataflow(this, dataflows - 1)
   }
 
-  /** Advance every installed dataflow by one epoch, then compact every
-    * owned trace to the new epoch: operators read only the current epoch and
+  /** Run every operator for one more epoch, in creation order, then compact
+    * every trace to the new epoch: operators read only the current epoch and
     * the one before it, so afterwards a read at an earlier epoch fails.
     */
   def step(): Unit = {
     epochVar += 1
-    val active = dataflows.toVector
-    active.foreach(_.advance(epochVar))
+    var i = 0
+    while (i < ops.length) { ops(i)._2.advance(epochVar); i += 1 }
     val frontier = Frontier(epochVar)
-    active.foreach(_.ownedSpines.foreach(_.advanceCompaction(frontier)))
+    spines.foreach(_._2.advanceCompaction(frontier))
   }
 
   /** Memory-footprint proxy: total tuples retained across all live traces. */
-  def totalTuples: Long =
-    dataflows.iterator.flatMap(_.ownedSpines).map(_.tupleCount).sum
+  def totalTuples: Long = spines.iterator.map(_._2.tupleCount).sum
 
-  private[dd] def retireDataflow(df: Dataflow): Unit = { dataflows -= df }
+  private[dd] def register(df: Dataflow, op: Op): Unit = { requireLive(df); ops += ((df, op)) }
+
+  private[dd] def own(df: Dataflow, traces: Iterable[Spine[_, _, Long]]): Unit = { requireLive(df); spines ++= traces.map((df, _)) }
+
+  private def requireLive(df: Dataflow): Unit =
+    if (df.isRetired) throw new IllegalStateException(s"dataflow ${df.id} is extended after it was retired")
+
+  private[dd] def drop(df: Dataflow): Unit = { ops.filterInPlace(_._1 ne df); spines.filterInPlace(_._1 ne df) }
 
   /** Run `f(0 until n)` across the worker pool (inline when single-worker):
     * the caller runs `f(0)` while the pool runs the rest, then waits for them
@@ -102,32 +112,25 @@ final class Engine(val workers: Int = 1) extends AutoCloseable {
   override def close(): Unit = if (pool != null) pool.shutdownNow()
 }
 
-/** One dataflow (query): an ordered list of operators advanced per epoch. */
-final class Dataflow private[dd] (val engine: Engine, val installEpoch: Long, val index: Int) {
+/** One dataflow (query): the unit of retirement. Its operators run in the
+  * engine's one creation-ordered schedule.
+  */
+final class Dataflow private[dd] (val engine: Engine, val id: Int) {
 
-  private[dd] val ops         = mutable.ArrayBuffer.empty[Op]
-  private[dd] val ownedSpines = mutable.ArrayBuffer.empty[Spine[_, _, Long]]
-  private var retired         = false
+  private var retired = false
 
   private[dd] def isRetired: Boolean = retired
 
-  private[dd] def register(op: Op): Unit = ops += op
-
-  private[dd] def advance(epoch: Long): Unit = if (!retired) ops.foreach(_.advance(epoch))
+  private[dd] def ownedSpines: Seq[Spine[_, _, Long]] = engine.spines.collect { case (df, s) if df eq this => s }.toSeq
 
   /** Remove this query: stops its operators and releases its private state
     * (the memory-footprint effect of query retirement in §6.1.1).
     */
-  def retire(): Unit = {
-    retired = true
-    ops.clear()
-    ownedSpines.clear()
-    engine.retireDataflow(this)
-  }
+  def retire(): Unit = { retired = true; engine.drop(this) }
 
   def newInput[D](): Input[D] = {
     val in = new Input[D](this)
-    register(in)
+    engine.register(this, in)
     in
   }
 }
@@ -135,10 +138,10 @@ final class Dataflow private[dd] (val engine: Engine, val installEpoch: Long, va
 private[dd] trait Op { def advance(epoch: Long): Unit }
 
 private[dd] object Dataflows {
-  /** The later-installed of two dataflows — where a binary op must live so
-    * both inputs have advanced before it runs.
+  /** The later-created of two dataflows: the owner of a binary op, so that
+    * retiring its reader stops it and retiring its source makes it fail.
     */
-  def later(a: Dataflow, b: Dataflow): Dataflow = if (a.index >= b.index) a else b
+  def later(a: Dataflow, b: Dataflow): Dataflow = if (a.id >= b.id) a else b
 }
 
 /** A stream of per-epoch update deltas `(data, diff)` (§3.3: collections as
@@ -153,7 +156,7 @@ final class Stream[D] private[dd] (val dataflow: Dataflow) {
 
   private def derived[E](df: Dataflow)(compute: () => IndexedSeq[(E, Long)]): Stream[E] = {
     val out = new Stream[E](df)
-    df.register(new Op { def advance(epoch: Long): Unit = out.delta = compute() })
+    df.engine.register(df, new Op { def advance(epoch: Long): Unit = out.delta = compute() })
     out
   }
 
@@ -172,16 +175,6 @@ final class Stream[D] private[dd] (val dataflow: Dataflow) {
   def negate: Stream[D] =
     derived(dataflow)(() => delta.map { case (d, diff) => (d, -diff) })
 
-  /** Sum diffs per datum within the epoch, dropping zeros (sorted for
-    * determinism).
-    */
-  def consolidate(implicit ord: Ordering[D]): Stream[D] =
-    derived(dataflow) { () =>
-      val acc = mutable.HashMap.empty[D, Long]
-      delta.foreach { case (d, diff) => acc.updateWith(d)(p => Some(p.getOrElse(0L) + diff)) }
-      acc.iterator.filter(_._2 != 0L).toIndexedSeq.sortBy(_._1)
-    }
-
   /** Observe each epoch's delta (pass-through). */
   def inspect(f: (Long, IndexedSeq[(D, Long)]) => Unit): Stream[D] =
     derived(dataflow) { () => { f(dataflow.engine.epoch, delta); delta } }
@@ -192,7 +185,7 @@ final class Stream[D] private[dd] (val dataflow: Dataflow) {
   def arrangeBy[K, V](kv: D => (K, V))(implicit ordK: Ordering[K], ordV: Ordering[V]): Arranged[K, V] = {
     val arr = new Arranged[K, V](dataflow)
     val eng = dataflow.engine
-    dataflow.register(new Op {
+    eng.register(dataflow, new Op {
       def advance(epoch: Long): Unit = {
         eng.exchange(delta) { case (d, diff) => val (k, v) = kv(d); (k, v, epoch, diff) }(_._1.hashCode) { (s, rows) =>
           arr.mint(s, Batch.fromUpdates(Frontier(epoch), Frontier(epoch + 1L), rows))
