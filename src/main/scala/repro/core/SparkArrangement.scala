@@ -185,25 +185,21 @@ object SparkArrangement {
   */
 final class ArrangementRegistry(val spark: SparkSession, val partitions: Int = 64) {
 
-  final case class ArrangeResult(arr: SparkArrangement, imported: Boolean, buildMillis: Long)
-
   private val arrs    = mutable.LinkedHashMap.empty[String, SparkArrangement]
   private val readers = mutable.HashMap.empty[String, Int].withDefaultValue(0)
 
-  def arrangeOrImport(name: String, keys: Seq[String])(build: => DataFrame): ArrangeResult =
+  def arrangeOrImport(name: String, keys: Seq[String])(build: => DataFrame): SparkArrangement =
     synchronized {
       arrs.get(name) match {
         case Some(arr) =>
           readers(name) += 1
-          ArrangeResult(arr, imported = true, buildMillis = 0L)
+          arr
         case None =>
-          val t0  = System.nanoTime()
           val arr = SparkArrangement.build(name, keys, build, partitions)
           arr.current // materialize the consolidated view too
-          val ms = (System.nanoTime() - t0) / 1000000L
           arrs(name) = arr
           readers(name) = 1
-          ArrangeResult(arr, imported = false, buildMillis = ms)
+          arr
       }
     }
 

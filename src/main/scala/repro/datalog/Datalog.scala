@@ -24,20 +24,38 @@ object Datalog {
 
   /** Full bottom-up transitive closure; returns the number of derived facts.
     * This is what every `tc(x,?)` query must run when arrangements cannot be
-    * shared (the "full eval. (no SA)" rows of Figure 8).
+    * shared (the "full eval. (no SA)" rows of Figure 8). An interactive
+    * `tc(x,?)` is `BatchGraph.reach` from `x` over the shared index, and
+    * `tc(?,x)` the same over the index by target.
     */
   def tcFull(engine: Engine, edgesBySrc: Arranged[Long, Long], edges: Array[(Long, Long)]): Long = {
-    val df     = engine.newDataflow()
-    val candIn = df.newInput[(Long, Long)]()
-    val tc     = candIn.stream.arrangeBy(xy => (xy, ())).distinct
-    val next = tc.changes
-      .map { case ((x, z), _) => (z, x) }
-      .arrangeBy(identity)
-      .join(edgesBySrc)((_, x, y) => (x, y))
-    FeedbackLoop.run(engine, candIn, next, edges.toSeq.map(e => (e, 1L)))
-    val n = tc.snapshot().length.toLong
-    df.retire()
+    val tc = new Closure(engine, edgesBySrc)
+    tc.update(edges.toSeq.map(e => (e, 1L)))
+    val n = tc.size
+    tc.retire()
     n
+  }
+
+  /** The tagged closure `c(s,y) <- seed(s,y).  c(s,y) <- c(s,z), edge(z,y).`
+    * in a dataflow of its own. `tcFull` seeds it with every edge; Graspan's
+    * dataflow analysis seeds one `(s, s)` per null source, and retracting a
+    * seed retracts exactly the facts it tagged.
+    */
+  final class Closure(engine: Engine, edgesBySrc: Arranged[Long, Long]) {
+    private val df     = engine.newDataflow()
+    private val candIn = df.newInput[(Long, Long)]()
+    private val facts  = candIn.stream.arrangeBy(sz => (sz, ())).distinct
+    private val next = facts.changes
+      .map { case ((s, z), _) => (z, s) }
+      .arrangeBy(identity)
+      .join(edgesBySrc)((_, s, y) => (s, y))
+
+    /** Apply seed updates and run to fixpoint; returns the iteration count. */
+    def update(seeds: Seq[((Long, Long), Long)]): Int = FeedbackLoop.run(engine, candIn, next, seeds)
+
+    def size: Long = facts.snapshot().length.toLong
+
+    def retire(): Unit = df.retire()
   }
 
   /** Full bottom-up same-generation; returns the number of derived facts. */
@@ -64,27 +82,6 @@ object Datalog {
     df.retire()
     n
   }
-
-  /** Interactive top-down `tc(x, ?)`: reachability from `x` against the
-    * shared forward arrangement (Figure 8 "increm." rows). Returns the size
-    * of the reachable set `{x} ∪ {y : x ->+ y}`.
-    */
-  def tcFromSeed(engine: Engine, edgesBySrc: Arranged[Long, Long], x: Long): Long = {
-    val df      = engine.newDataflow()
-    val candIn  = df.newInput[Long]()
-    val reached = candIn.stream.arrangeBy(n => (n, ())).distinct
-    val next    = reached.join(edgesBySrc)((_, _, dst) => dst)
-    FeedbackLoop.run(engine, candIn, next, Seq((x, 1L)))
-    val n = reached.snapshot().length.toLong
-    df.retire()
-    n
-  }
-
-  /** Interactive `tc(?, x)`: reverse reachability via the shared reverse
-    * arrangement (identical dataflow over the other index).
-    */
-  def tcToSeed(engine: Engine, edgesByDst: Arranged[Long, Long], x: Long): Long =
-    tcFromSeed(engine, edgesByDst, x)
 
   /** Interactive `sg(x, ?)` via the magic-set transformation (§6.3.1): the
     * magic set is the ancestor closure of `x`; the sg rules are evaluated

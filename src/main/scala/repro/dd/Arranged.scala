@@ -20,6 +20,14 @@ trait ArrangedView[K, V] {
     */
   private[dd] def currentShard(s: Int): Batch[K, V]
 
+  /** Reads through a view whose dataflow is retired would see state frozen at
+    * retirement, so every read path of every view calls this first and fails
+    * instead (§4.3).
+    */
+  private[dd] def requireLive(): Unit =
+    if (dataflow.isRetired)
+      throw new IllegalStateException(s"arrangement of dataflow ${dataflow.id} is read after that dataflow was retired")
+
   /** Accumulated multiset for `k` in shard `s` at time `asOf`, from this
     * reader's point of view (imports rebase history to their install epoch).
     */
@@ -45,7 +53,9 @@ trait ArrangedView[K, V] {
     */
   def join[V2, O](other: ArrangedView[K, V2])(f: (K, V, V2) => O): Stream[O] = {
     require(other.engine eq engine, "joined arrangements must share an engine")
-    val df  = Dataflows.later(dataflow, other.dataflow)
+    // The later-created dataflow owns the join: retiring the reader stops it,
+    // and retiring its source makes it fail.
+    val df  = if (dataflow.id >= other.dataflow.id) dataflow else other.dataflow
     val out = new Stream[O](df)
     val a   = this
     val b   = other
@@ -139,10 +149,27 @@ trait ArrangedView[K, V] {
     */
   def importInto(df2: Dataflow): ImportedArranged[K, V]
 
-  /** Build a *private* copy in `df2` — the unshared baseline. Pays full
-    * re-indexing in the next epoch and duplicate maintenance every one after.
+  /** Build a *private* copy in `df2` — the unshared baseline: an import whose
+    * changes `df2` arranges itself, so it pays its own exchange and sort of
+    * the whole collection in the next epoch and of every delta after.
     */
-  def copyInto(df2: Dataflow): Arranged[K, V]
+  def copyInto(df2: Dataflow): Arranged[K, V] = importInto(df2).changes.arrangeBy(identity)
+
+  /** Per-epoch delta of the arranged collection, as a stream of ((k, v), diff).
+    * Built on first access as an operator that reads the minted batches each
+    * epoch: created after the operator that mints them, before any reader.
+    */
+  lazy val changes: Stream[(K, V)] = {
+    val out = new Stream[(K, V)](dataflow)
+    out.delta = changeRows
+    engine.register(dataflow, new Op { def advance(epoch: Long): Unit = out.delta = changeRows })
+    out
+  }
+
+  private def changeRows: IndexedSeq[((K, V), Long)] =
+    (0 until engine.workers).iterator
+      .flatMap(s => currentShard(s).deltaRows.iterator.map { case (k, v, d) => ((k, v), d) })
+      .toVector
 }
 
 /** The single-writer arrangement: one spine per worker shard plus this
@@ -161,24 +188,6 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
   private[dd] val current: Array[Batch[K, V]] =
     Array.fill(dataflow.engine.workers)(Batch.empty[K, V])
 
-  /** Per-epoch delta of the arranged collection, as a stream of ((k, v), diff).
-    * Built on first access as an operator that reads the minted batches each
-    * epoch: created after the operator that mints them, before any reader.
-    */
-  lazy val changes: Stream[(K, V)] = {
-    val out = new Stream[(K, V)](dataflow)
-    out.delta = changeRows
-    engine.register(dataflow, new Op { def advance(epoch: Long): Unit = out.delta = changeRows })
-    out
-  }
-
-  /** Reads through an arrangement whose dataflow is retired would see its
-    * spines frozen at retirement, so every read path fails instead (§4.3).
-    */
-  private def requireLive(): Unit =
-    if (dataflow.isRetired)
-      throw new IllegalStateException(s"arrangement of dataflow ${dataflow.id} is read after that dataflow was retired")
-
   private[dd] def currentShard(s: Int): Batch[K, V] = { requireLive(); current(s) }
 
   /** Insert shard `s`'s batch minted this epoch; it becomes the shard's delta. */
@@ -186,9 +195,6 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
     spines(s).insert(batch)
     current(s) = batch
   }
-
-  private def changeRows: IndexedSeq[((K, V), Long)] =
-    current.iterator.flatMap(_.deltaRows.iterator.map { case (k, v, d) => ((k, v), d) }).toVector
 
   private[dd] def accumulate(s: Int, k: K, asOf: Long): IndexedSeq[(V, Long)] = {
     requireLive(); spines(s).accumulate(k, asOf)
@@ -203,29 +209,6 @@ final class Arranged[K, V] private[dd] (val dataflow: Dataflow)(implicit
     val imp = new ImportedArranged[K, V](df2, this)
     engine.register(df2, imp)
     imp
-  }
-
-  def copyInto(df2: Dataflow): Arranged[K, V] = {
-    require(df2.engine eq dataflow.engine, "copy requires a shared engine")
-    val src       = this
-    val dst       = new Arranged[K, V](df2)
-    val installAt = engine.epoch + 1L
-    engine.register(df2, new Op {
-      def advance(epoch: Long): Unit = {
-        engine.parallel(engine.workers) { s =>
-          // The private re-indexing the paper's unshared baseline pays: the
-          // whole collection on install, every update after. The source's
-          // batch is sorted and consolidated, so its rows append in order.
-          val from  = if (epoch == installAt) src.shardSnapshot(s, epoch) else src.currentShard(s)
-          val batch = new BatchBuilder[K, V](from.valueCount, from.keyCount, from.valueCount)
-          for (i <- 0 until from.keyCount; j <- from.keyOffs(i) until from.keyOffs(i + 1)) {
-            batch.group(from.key(i), from.value(j)); batch.push(epoch, from.valueDiff(j))
-          }
-          dst.mint(s, batch.result(Frontier(epoch), Frontier(epoch + 1L)))
-        }
-      }
-    })
-    dst
   }
 }
 
@@ -243,7 +226,7 @@ final class ImportedArranged[K, V] private[dd] (
   implicit def ordV: Ordering[V] = source.ordV
 
   private val installAt: Long = engine.epoch + 1L
-  private val current: Array[Batch[K, V]] = new Array[Batch[K, V]](engine.workers)
+  private val current: Array[Batch[K, V]] = Array.fill(engine.workers)(Batch.empty[K, V])
 
   def advance(epoch: Long): Unit =
     if (epoch == installAt) engine.parallel(engine.workers)(s => current(s) = source.shardSnapshot(s, epoch))
@@ -252,18 +235,19 @@ final class ImportedArranged[K, V] private[dd] (
       while (s < current.length) { current(s) = source.currentShard(s); s += 1 }
     }
 
-  private[dd] def currentShard(s: Int): Batch[K, V] = current(s)
+  private[dd] def currentShard(s: Int): Batch[K, V] = { requireLive(); current(s) }
 
-  private[dd] def accumulate(s: Int, k: K, asOf: Long): IndexedSeq[(V, Long)] =
-    if (asOf < installAt) Vector.empty
-    else source.accumulate(s, k, asOf)
+  private[dd] def accumulate(s: Int, k: K, asOf: Long): IndexedSeq[(V, Long)] = {
+    requireLive()
+    if (asOf < installAt) Vector.empty else source.accumulate(s, k, asOf)
+  }
 
-  private[dd] def shardSnapshot(s: Int, asOf: Long): Batch[K, V] =
-    if (asOf < installAt) Batch.empty
-    else source.shardSnapshot(s, asOf)
+  private[dd] def shardSnapshot(s: Int, asOf: Long): Batch[K, V] = {
+    requireLive()
+    if (asOf < installAt) Batch.empty else source.shardSnapshot(s, asOf)
+  }
 
   def importInto(df2: Dataflow): ImportedArranged[K, V] = source.importInto(df2)
-  def copyInto(df2: Dataflow): Arranged[K, V]           = source.copyInto(df2)
 }
 
 /** Drives a feedback loop to fixpoint: each engine step is one iteration,

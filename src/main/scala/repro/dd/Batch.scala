@@ -134,7 +134,7 @@ object Batch {
 }
 
 /** Appends rows already in `(key, value, time)` order into the columns of a
-  * [[Batch]]: the spine's merges, `reduce` and `copyInto` produce rows in
+  * [[Batch]]: the spine's merges, `reduce` and `fromUpdates` produce rows in
   * order and build through this directly, without a sort.
   *
   * Call [[group]] for each `(key, value)` in strictly increasing order, then

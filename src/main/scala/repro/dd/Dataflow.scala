@@ -15,13 +15,15 @@ import scala.collection.mutable
   * process shards in parallel; all state interactions are intra-shard, per
   * the paper's hard-partitioning design (§4).
   *
-  * Sharing: an [[Arranged]] built in one dataflow can be read directly by
-  * another dataflow's join (zero install cost — the windowed-facts idiom),
-  * or [[Arranged.importInto]]-ed into any dataflow of the engine (the
+  * Sharing: arrangements are the only thing that crosses dataflows. An
+  * [[Arranged]] built in one dataflow can be read directly by another
+  * dataflow's join (zero install cost — the windowed-facts idiom), or
+  * [[ArrangedView.importInto]]-ed into any dataflow of the engine (the
   * trace-handle `import` of §4.3: the importer receives the consolidated
   * history as one large batch at its install epoch, then mirrors newly
-  * minted batches). [[Arranged.copyInto]] is the *unshared* baseline: it
-  * physically re-indexes the full collection into a private arrangement and
+  * minted batches). [[ArrangedView.copyInto]] is the *unshared* baseline: an
+  * import whose changes the reader arranges with its own `arrangeBy`, so it
+  * pays its own exchange, sort and index of the full collection, and
   * duplicates maintenance work each epoch.
   */
 final class Engine(val workers: Int = 1) extends AutoCloseable {
@@ -137,13 +139,6 @@ final class Dataflow private[dd] (val engine: Engine, val id: Int) {
 
 private[dd] trait Op { def advance(epoch: Long): Unit }
 
-private[dd] object Dataflows {
-  /** The later-created of two dataflows: the owner of a binary op, so that
-    * retiring its reader stops it and retiring its source makes it fail.
-    */
-  def later(a: Dataflow, b: Dataflow): Dataflow = if (a.id >= b.id) a else b
-}
-
 /** A stream of per-epoch update deltas `(data, diff)` (§3.3: collections as
   * streams of update triples; the epoch is implicit in the engine clock).
   */
@@ -154,30 +149,36 @@ final class Stream[D] private[dd] (val dataflow: Dataflow) {
   /** The delta most recently produced for this stream (read after `step()`). */
   def currentDelta: IndexedSeq[(D, Long)] = delta
 
-  private def derived[E](df: Dataflow)(compute: () => IndexedSeq[(E, Long)]): Stream[E] = {
-    val out = new Stream[E](df)
-    df.engine.register(df, new Op { def advance(epoch: Long): Unit = out.delta = compute() })
+  private def derived[E](compute: () => IndexedSeq[(E, Long)]): Stream[E] = {
+    val out = new Stream[E](dataflow)
+    dataflow.engine.register(dataflow, new Op { def advance(epoch: Long): Unit = out.delta = compute() })
     out
   }
 
   def map[E](f: D => E): Stream[E] =
-    derived(dataflow)(() => delta.map { case (d, diff) => (f(d), diff) })
+    derived(() => delta.map { case (d, diff) => (f(d), diff) })
 
   def flatMap[E](f: D => IterableOnce[E]): Stream[E] =
-    derived(dataflow)(() => delta.flatMap { case (d, diff) => f(d).iterator.map(e => (e, diff)) })
+    derived(() => delta.flatMap { case (d, diff) => f(d).iterator.map(e => (e, diff)) })
 
   def filter(p: D => Boolean): Stream[D] =
-    derived(dataflow)(() => delta.filter { case (d, _) => p(d) })
+    derived(() => delta.filter { case (d, _) => p(d) })
 
-  def concat(other: Stream[D]): Stream[D] =
-    derived(Dataflows.later(dataflow, other.dataflow))(() => delta ++ other.delta)
+  /** Union with a stream of the same dataflow. Only arrangements cross
+    * dataflows (`importInto`, or a join's read), so a stream of another
+    * dataflow is rejected here instead of read after its writer is gone.
+    */
+  def concat(other: Stream[D]): Stream[D] = {
+    require(other.dataflow eq dataflow, s"concat of streams of dataflows ${dataflow.id} and ${other.dataflow.id}")
+    derived(() => delta ++ other.delta)
+  }
 
   def negate: Stream[D] =
-    derived(dataflow)(() => delta.map { case (d, diff) => (d, -diff) })
+    derived(() => delta.map { case (d, diff) => (d, -diff) })
 
   /** Observe each epoch's delta (pass-through). */
   def inspect(f: (Long, IndexedSeq[(D, Long)]) => Unit): Stream[D] =
-    derived(dataflow) { () => { f(dataflow.engine.epoch, delta); delta } }
+    derived { () => { f(dataflow.engine.epoch, delta); delta } }
 
   /** Shard by key and maintain an indexed, multiversioned trace: the
     * `arrange` operator (§4.2).

@@ -9,37 +9,25 @@ import repro.dd._
   */
 object BatchGraph {
 
-  /** Feed `edges` into a fresh dataflow on `engine` and arrange by source.
-    * Timing this call reproduces the paper's `index-f` column.
+  /** Feed `rows` into a fresh dataflow on `engine` and arrange them by `kv`.
+    * Timing this call reproduces the paper's `index-*` columns.
     */
-  def indexForward(engine: Engine, edges: Array[(Long, Long)]): Arranged[Long, Long] = {
-    val df = engine.newDataflow()
-    val in = df.newInput[(Long, Long)]()
-    val arr = in.stream.arrangeBy(identity)
-    in.insertAll(edges)
+  def index[R, K: Ordering, V: Ordering](engine: Engine, rows: Array[R])(kv: R => (K, V)): Arranged[K, V] = {
+    val in  = engine.newDataflow().newInput[R]()
+    val arr = in.stream.arrangeBy(kv)
+    in.insertAll(rows)
     engine.step()
     arr
   }
 
-  /** Arrange by target (`index-r`). */
-  def indexReverse(engine: Engine, edges: Array[(Long, Long)]): Arranged[Long, Long] = {
-    val df = engine.newDataflow()
-    val in = df.newInput[(Long, Long)]()
-    val arr = in.stream.arrangeBy { case (s, d) => (d, s) }
-    in.insertAll(edges)
-    engine.step()
-    arr
-  }
+  /** Arrange by source (`index-f`); `index(engine, edges)(_.swap)` arranges
+    * by target (`index-r`).
+    */
+  def indexForward(engine: Engine, edges: Array[(Long, Long)]): Arranged[Long, Long] = index(engine, edges)(identity)
 
   /** Weighted forward index for sssp: src -> (dst, weight). */
-  def indexWeighted(engine: Engine, edges: Array[(Long, Long, Long)]): Arranged[Long, (Long, Long)] = {
-    val df = engine.newDataflow()
-    val in = df.newInput[(Long, Long, Long)]()
-    val arr = in.stream.arrangeBy { case (s, d, w) => (s, (d, w)) }
-    in.insertAll(edges)
-    engine.step()
-    arr
-  }
+  def indexWeighted(engine: Engine, edges: Array[(Long, Long, Long)]): Arranged[Long, (Long, Long)] =
+    index(engine, edges) { case (s, d, w) => (s, (d, w)) }
 
   /** Nodes reached from `src` (including `src`), via semi-naive fixpoint over
     * the shared forward index.

@@ -1,5 +1,6 @@
 package repro.graspan
 
+import repro.datalog.Datalog
 import repro.dd._
 import scala.collection.mutable
 import scala.util.Random
@@ -57,17 +58,11 @@ object ProgramGen {
   */
 final class DataflowAnalysis(engine: Engine, edgesBySrc: Arranged[Long, Long]) {
 
-  private val df     = engine.newDataflow()
-  private val candIn = df.newInput[(Long, Long)]() // (nullSrc, node)
-  private val reach  = candIn.stream.arrangeBy(sn => (sn, ())).distinct
-  private val next = reach.changes
-    .map { case ((s, n), _) => (n, s) }
-    .arrangeBy(identity)
-    .join(edgesBySrc)((_, s, dst) => (s, dst))
+  private val closure = new Datalog.Closure(engine, edgesBySrc)
 
   /** Run the initial analysis from all null sources; returns #facts. */
   def run(nulls: Array[Long]): Long = {
-    FeedbackLoop.run(engine, candIn, next, nulls.toSeq.map(s => ((s, s), 1L)))
+    closure.update(nulls.toSeq.map(s => ((s, s), 1L)))
     factCount
   }
 
@@ -83,12 +78,11 @@ final class DataflowAnalysis(engine: Engine, edgesBySrc: Arranged[Long, Long]) {
   /** Removal without the (expensive) fact recount — used when timing the
     * retraction itself (Fig. 9c).
     */
-  def remove(s: Long): Unit =
-    FeedbackLoop.run(engine, candIn, next, Seq(((s, s), -1L)))
+  def remove(s: Long): Unit = closure.update(Seq(((s, s), -1L)))
 
-  def factCount: Long = reach.snapshot().length.toLong
+  def factCount: Long = closure.size
 
-  def retire(): Unit = df.retire()
+  def retire(): Unit = closure.retire()
 }
 
 /** Andersen-style points-to as mutually composed recursive rules (§6.3.2):

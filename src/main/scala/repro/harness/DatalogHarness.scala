@@ -33,12 +33,12 @@ object DatalogHarness {
     val rows = Seq("tree" -> Tree, "grid" -> Grid, "gnp" -> Gnp).map { case (name, edges) =>
       val eng = new Engine(Workers)
       val fwd = BatchGraph.indexForward(eng, edges)
-      val rev = BatchGraph.indexReverse(eng, edges)
+      val rev = BatchGraph.index(eng, edges)(_.swap)
       val nodes = edges.flatMap(e => Seq(e._1, e._2)).distinct
       val pick  = Seq.fill(Seeds)(nodes(rng.nextInt(nodes.length)))
 
-      val tcF = pick.map(x => Fmt.timeMs(Datalog.tcFromSeed(eng, fwd, x))._2)
-      val tcT = pick.map(x => Fmt.timeMs(Datalog.tcToSeed(eng, rev, x))._2)
+      val tcF = pick.map(x => Fmt.timeMs(BatchGraph.reach(eng, fwd, x).size)._2)
+      val tcT = pick.map(x => Fmt.timeMs(BatchGraph.reach(eng, rev, x).size)._2)
       val sgS = pick.map(x => Fmt.timeMs(Datalog.sgFromSeed(eng, fwd, rev, x))._2)
       val (_, tcFullMs) = Fmt.timeMs(Datalog.tcFull(eng, fwd, edges))
       val (_, sgFullMs) = Fmt.timeMs(Datalog.sgFull(eng, fwd))

@@ -140,9 +140,8 @@ object QueryInstance {
     val registryNames = mutable.ArrayBuffer.empty[String]
     val dimArrs: Map[String, SparkArrangement] = query.dims.map { d =>
       if (shared) {
-        val res = reg.arrangeOrImport(d.name, d.keys)(d.build(tables))
         registryNames += d.name
-        d.name -> res.arr
+        d.name -> reg.arrangeOrImport(d.name, d.keys)(d.build(tables))
       } else {
         val arr = SparkArrangement.build(s"${d.name}-$instanceId", d.keys, d.build(tables), reg.partitions)
         privateArrs += arr

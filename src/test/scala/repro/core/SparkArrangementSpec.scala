@@ -57,10 +57,8 @@ class SparkArrangementSpec extends SparkSpec {
     val reg = new ArrangementRegistry(spark, partitions = 4)
     val df  = Seq((1L, "x"), (2L, "y")).toDF("k", "v")
     val r1  = reg.arrangeOrImport("shared1", Seq("k"))(df)
-    val r2  = reg.arrangeOrImport("shared1", Seq("k"))(df)
-    assert(!r1.imported && r2.imported)
-    assert(r2.buildMillis == 0L)
-    assert(r1.arr eq r2.arr)
+    val r2  = reg.arrangeOrImport("shared1", Seq("k"))(sys.error("an import does not build"))
+    assert(r1 eq r2)
     assert(reg.totalRows == 2L)
     reg.release("shared1")
     assert(reg.get("shared1").isDefined, "still one reader attached")

@@ -55,7 +55,7 @@ class EngineRefereeSpec extends AnyFunSuite {
       def reader(owner: Dataflow, of: View*): Unit = reads(owner) = reads(owner) ++ of.flatMap(_.needs)
       def importView(view: View, into: Dataflow, when: String): View = {
         reader(into, view)
-        View(s"import at $when", view.v.importInto(into), None, view.src, eng.epoch + 1L, view.needs + into)
+        View(s"import at $when", view.v.importInto(into), view.src, eng.epoch + 1L, view.needs + into)
       }
       def accumulate[D](s: Stream[D], base: Map[D, Long]): MSet[D] = {
         val acc = mutable.HashMap.from(base)
@@ -88,7 +88,7 @@ class EngineRefereeSpec extends AnyFunSuite {
             val in  = df.newInput[Rec]()
             val src = new Src(df, in, in.stream.arrangeBy(identity))
             live += df; sources += src
-            views += View(s"source at $when", src.arr, Some(src.arr), src, eng.epoch, Set(df))
+            views += View(s"source at $when", src.arr, src, eng.epoch, Set(df))
 
           case Send(i, ups) =>
             pick(sources, i).foreach { s =>
@@ -105,8 +105,9 @@ class EngineRefereeSpec extends AnyFunSuite {
 
           case Join(i, j) =>
             for (a <- pick(views, i); b <- pick(views, j)) {
-              reader(Dataflows.later(a.v.dataflow, b.v.dataflow), a, b)
-              val acc = accumulate(a.v.join(b.v)((k, v, w) => (k, v, w)), naiveJoin(content(a), content(b)))
+              val joined = a.v.join(b.v)((k, v, w) => (k, v, w))
+              reader(joined.dataflow, a, b)
+              val acc = accumulate(joined, naiveJoin(content(a), content(b)))
               outs += Out(s"join at $when", a.needs ++ b.needs, () => acc.toMap, () => naiveJoin(content(a), content(b)))
             }
 
@@ -117,7 +118,7 @@ class EngineRefereeSpec extends AnyFunSuite {
             for (v <- pick(views, i); df <- pick(live, j)) {
               reader(df, v)
               val copy = v.v.copyInto(df)
-              views += View(s"copy at $when", copy, Some(copy), v.src, eng.epoch + 1L, v.needs + df)
+              views += View(s"copy at $when", copy, v.src, eng.epoch + 1L, v.needs + df)
             }
 
           case Reduce(i, j, kind) =>
@@ -133,8 +134,8 @@ class EngineRefereeSpec extends AnyFunSuite {
             }
 
           case Changes(i) =>
-            for (v <- pick(views.filter(_.arranged.nonEmpty), i); arr <- v.arranged) {
-              val acc = accumulate(arr.changes, content(v))
+            for (v <- pick(views, i)) {
+              val acc = accumulate(v.v.changes, content(v))
               outs += Out(s"changes at $when", v.needs, () => acc.toMap, () => content(v))
             }
 
@@ -258,7 +259,7 @@ object EngineRefereeSpec {
   /** A readable arrangement over `src`'s collection; empty before `installAt`.
     * `needs` are the dataflows it reads through.
     */
-  final case class View(name: String, v: ArrangedView[Long, Int], arranged: Option[Arranged[Long, Int]], src: Src, installAt: Long, needs: Set[Dataflow])
+  final case class View(name: String, v: ArrangedView[Long, Int], src: Src, installAt: Long, needs: Set[Dataflow])
 
   final case class Out(name: String, needs: Set[Dataflow], got: () => Map[_, Long], want: () => Map[_, Long])
 }

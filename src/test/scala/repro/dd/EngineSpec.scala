@@ -78,19 +78,16 @@ class EngineSpec extends AnyFunSuite {
           ups.groupMapReduce(_._1)(_._2)(_ + _).filter(_._2 != 0L).toSet
         var last = Seq.empty[((Long, Int), Long)]
         for (_ <- 1 to 3) { last = randomUpdates(rng, 10); in.send(last); eng.step() }
-        // A later dataflow reads the stream for the first time.
-        val df2 = eng.newDataflow()
-        val own = df2.newInput[(Long, Int)]()
-        val ch  = arr.changes
-        val out = own.stream.concat(ch)
-        assert(out.dataflow eq df2)
+        // The stream is read for the first time, after a later dataflow was made.
+        eng.newDataflow()
+        val ch = arr.changes
+        assert(ch.dataflow eq df1)
         assert(ch.currentDelta.toSet == epochOf(last), s"workers=$w epoch 3")
         for (e <- 4 to 6) {
           last = randomUpdates(rng, 10)
           in.send(last)
           eng.step()
           assert(ch.currentDelta.toSet == epochOf(last), s"workers=$w epoch $e")
-          assert(out.currentDelta.toSet == epochOf(last), s"workers=$w epoch $e")
         }
       } finally eng.close()
     }
@@ -290,6 +287,37 @@ class EngineSpec extends AnyFunSuite {
         assert(reader.dataflow eq df3)
       } finally eng.close()
     }
+  }
+
+  test("a reader joining an import fails on the step after the import's dataflow retires") {
+    val eng = new Engine(2)
+    try {
+      val df1  = eng.newDataflow()
+      val in1  = df1.newInput[(Long, Int)]()
+      val arr1 = in1.stream.arrangeBy(identity)
+      val df2  = eng.newDataflow()
+      val imp  = arr1.importInto(df2)
+      val df3  = eng.newDataflow()
+      val in3  = df3.newInput[(Long, Int)]()
+      val out  = imp.join(in3.stream.arrangeBy(identity))((k, v, w) => (k, v, w))
+      assert(out.dataflow eq df3)
+      in1.send(Seq(((1L, 1), 1L))); in3.send(Seq(((1L, 9), 1L)))
+      eng.step()
+      assert(out.currentDelta == Seq(((1L, 1, 9), 1L)))
+      df2.retire()
+      val e = intercept[IllegalStateException](eng.step())
+      assert(e.getMessage.contains("retired"))
+    } finally eng.close()
+  }
+
+  test("concat of streams of two dataflows is rejected when it is built") {
+    val eng = new Engine(1)
+    try {
+      val a = eng.newDataflow().newInput[Long]()
+      val b = eng.newDataflow().newInput[Long]()
+      intercept[IllegalArgumentException](a.stream.concat(b.stream))
+      intercept[IllegalArgumentException](b.stream.concat(a.stream))
+    } finally eng.close()
   }
 
   test("a retired dataflow takes no new operators, so none of it runs again") {

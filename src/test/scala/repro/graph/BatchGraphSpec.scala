@@ -77,7 +77,7 @@ class BatchGraphSpec extends AnyFunSuite {
 
   test("reverse index answers reverse reachability") {
     val eng = new Engine(2)
-    val arr = BatchGraph.indexReverse(eng, edges)
+    val arr = BatchGraph.index(eng, edges)(_.swap)
     val got = BatchGraph.reach(eng, arr, 0L) // nodes that can reach 0
     val rev = edges.map { case (s, d) => (d, s) }
     val bfs = Baselines.bfsArray(n, rev, 0L)
